@@ -1,8 +1,10 @@
 """Batch experiment driver: table checks, sweeps, identity verification.
 
 Every command emits a machine-readable report (JSON, or CSV for sweeps)
-and exits 0 only if all of its assertions pass.  Reports are
-deterministic for a fixed config apart from the timestamp field.
+built from the checks in ``walkqec.verify``.  It exits 0 only if all of
+its assertions pass, 1 if a check fails and 3 on an internal error.
+Reports are deterministic for a fixed config apart from the timestamp
+field.
 """
 
 from __future__ import annotations
@@ -17,11 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import codec, engine, errors, oracle, pauli, programs
-from .pauli import (CODE_BASIS, CRITERIA_G, COIN_X_REP, COIN_Z_REP, GAUGE_FACTOR_Z,
-                    LOGICAL_X, LOGICAL_Y, LOGICAL_Z, PauliWord, STABILIZERS,
-                    commutes, conjugate_transversal, correctable_flips,
-                    equivalent_mod_gauge, pw_mul, syndrome_of, syndrome_str)
+from . import pauli, verify
 
 TARGET_NAMES = {"P0": 0, "P2": 2, "P4": 4}
 
@@ -50,51 +48,13 @@ def _out_path(args, default_name: str) -> str | None:
 
 # ---------------------------------------------------------------- verify-tables
 
-def _basis_invariant_checks() -> list:
-    checks = []
-    gens = CODE_BASIS.stabilizers + CODE_BASIS.gauges + CODE_BASIS.logicals
-    names = [f"s{i}" for i in range(6)] + ["gz0", "gx0", "gz1", "gx1", "Zbar", "Xbar"]
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            want = True
-            pair = {names[i], names[j]}
-            if pair in ({"gz0", "gx0"}, {"gz1", "gx1"}, {"Zbar", "Xbar"}):
-                want = False
-            got = commutes(a, b)
-            checks.append({
-                "check": f"commutes({names[i]},{names[j]})",
-                "expected": want, "got": got, "pass": want == got,
-            })
-    return checks
-
-
 def cmd_verify_tables(args) -> int:
-    stabilizers = list(STABILIZERS)
+    stabilizers = list(pauli.STABILIZERS)
     if args.corrupt:
         # fault-injection mode: damage one generator and show the report catches it
-        stabilizers[2] = pw_mul(STABILIZERS[2], PauliWord.single(0, "c", "Z"))
-    results = _basis_invariant_checks()
-
-    session0 = codec.encoded_session(1.0, 0.0, layout=engine.FIVE)
-    rows = []
-    for flip in correctable_flips():
-        analytic = tuple(0 if commutes(flip, s) else 1 for s in stabilizers)
-        ses = session0.clone()
-        codec.inject_error(ses, errors.PauliFlip(flip, flip.particles()[0]))
-        branches = codec.run_cycle(ses, all_branches=True)
-        ok = len(branches) == 1
-        walk_bits = None
-        if ok:
-            walk_bits = branches[0][1].history.cycles[-1].m_bits
-        printed = syndrome_of(flip)
-        row_pass = ok and walk_bits == printed and analytic == printed
-        rows.append({
-            "error": flip.render(),
-            "m": syndrome_str(printed),
-            "analytic": syndrome_str(analytic),
-            "walk": syndrome_str(walk_bits) if walk_bits else None,
-            "pass": bool(row_pass),
-        })
+        stabilizers[2] = pauli.pw_mul(stabilizers[2], pauli.PauliWord.single(0, "c", "Z"))
+    results = verify.invariant_checks()
+    rows = verify.syndrome_rows(1.0, 0.0, stabilizers)
     results_pass = all(c["pass"] for c in results)
     rows_pass = all(r["pass"] for r in rows)
     report = {
@@ -115,43 +75,6 @@ def cmd_verify_tables(args) -> int:
 
 # ---------------------------------------------------------------- error-sweep
 
-def _random_bloch_amplitudes(rng) -> tuple:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    theta = np.arccos(np.clip(v[2], -1, 1))
-    phi = np.arctan2(v[1], v[0])
-    return np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
-
-
-def _sweep_trial(seed: int, index: int, family: str, target: int,
-                 monte_carlo: bool) -> dict:
-    rng = np.random.default_rng([seed, index])
-    alpha, beta = _random_bloch_amplitudes(rng)
-    ses = codec.encoded_session(alpha, beta, rng=rng)
-    bloch_in = codec.logical_readout(ses).bloch
-    spec = errors.sample_random_error(rng, family, target)
-    codec.inject_error(ses, spec)
-    worst = 1.0
-    syndromes = []
-    if monte_carlo:
-        s = codec.run_cycle(ses)
-        codec.update_frame(s)
-        syndromes.append(s.history.cycles[-1].m_str())
-        worst = codec.bloch_fidelity(bloch_in, codec.logical_readout(s).bloch)
-    else:
-        for _, s in codec.run_cycle(ses, all_branches=True):
-            codec.update_frame(s)
-            syndromes.append(s.history.cycles[-1].m_str())
-            worst = min(worst, codec.bloch_fidelity(bloch_in, codec.logical_readout(s).bloch))
-    return {
-        "trial": index,
-        "family": family,
-        "target": f"P{target}",
-        "syndrome": "|".join(sorted(set(syndromes))),
-        "fidelity": worst,
-    }
-
-
 def cmd_error_sweep(args) -> int:
     families = [args.family] if args.family else ["coin", "shift"]
     targets = [TARGET_NAMES[args.target]] if args.target else [0, 2, 4]
@@ -160,8 +83,8 @@ def cmd_error_sweep(args) -> int:
     for family in families:
         for target in targets:
             for _ in range(args.trials):
-                rows.append(_sweep_trial(args.seed, index, family, target,
-                                         args.monte_carlo))
+                rows.append(verify.sweep_trial(args.seed, index, family, target,
+                                               args.monte_carlo))
                 index += 1
     fidelities = [r["fidelity"] for r in rows]
     tolerance = args.tolerance if args.tolerance is not None else 1e-8
@@ -197,131 +120,8 @@ def cmd_error_sweep(args) -> int:
 
 # ------------------------------------------------------------ verify-identities
 
-def _check_transform() -> dict:
-    lay1 = engine.Layout(1, False)
-    w = oracle.program_matrix_on_particle(programs.build_basis_transform((0,)), lay1, 0)
-    order = [pauli.q(0, r) for r in pauli.ROLES]
-    xxx = oracle.dense_of(pauli.from_triples({0: "XXX"}), order)
-    zzz = oracle.dense_of(pauli.from_triples({0: "ZZZ"}), order)
-    dev = max(
-        float(np.max(np.abs(w @ xxx - zzz @ w))),
-        float(np.max(np.abs(w @ zzz - xxx @ w))),
-        float(np.max(np.abs(w @ w - np.eye(8)))),
-    )
-    return {"identity": "basis-transform W XXX=ZZZ W, W ZZZ=XXX W, W^2=1",
-            "deviation": dev, "tolerance": 1e-12, "pass": dev < 1e-12}
-
-
-def _cnot_bases():
-    lay6 = engine.SIX
-    ses = codec.prepare_logical_zero(lay6)
-    zero = ses.state
-    one = engine.apply_pauli_word(zero, LOGICAL_X)
-    flip = PauliWord.single(pauli.PEX, "c", "X")
-    return [zero, one,
-            engine.apply_pauli_word(zero, flip), engine.apply_pauli_word(one, flip)]
-
-
-def _check_cnot() -> dict:
-    basis = _cnot_bases()
-    u = oracle.extract_unitary(programs.build_cnot_coin_to_logical(), basis, basis)
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    dev = float(np.max(np.abs(u - cnot)))
-    return {"identity": "coin-to-logical walk = CNOT on (external coin x logical)",
-            "deviation": dev, "tolerance": 1e-10, "pass": dev < 1e-10}
-
-
-def _check_middle_block() -> dict:
-    lay6 = engine.SIX
-    data_x = engine.CoinSpec.uniform(pauli.DATA_PARTICLES, engine.COIN_X)
-    middle = programs.WalkProgram(
-        "middle", tuple(programs._walk_iterations(data_x, 8, True)))
-    ins = []
-    for bx in (0, 4):          # external coin 0/1 at vertex 00
-        for b4 in range(8):
-            amps = np.zeros(lay6.dim, dtype=complex)
-            amps[(bx << (3 * lay6.slot(pauli.PEX))) | (b4 << (3 * lay6.slot(4)))] = 1.0
-            ins.append(engine.StateVector(lay6, amps))
-    m = oracle.extract_unitary(middle, ins, ins)
-    z3 = np.kron(np.diag([1, -1]), np.kron(np.diag([1, -1]), np.diag([1, -1])))
-    target = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), z3]]).astype(complex)
-    dev = float(np.max(np.abs(m - target)))
-    return {"identity": "middle interaction block = controlled-(Zc Zy Zx) on P4",
-            "deviation": dev, "tolerance": 1e-10, "pass": dev < 1e-10}
-
-
-def _check_cphase() -> dict:
-    zero, one, zero1, one1 = _cnot_bases()
-
-    def mix(a, b, sign):
-        return engine.StateVector(a.layout, (a.amps + sign * b.amps) / np.sqrt(2))
-
-    plus0, plus1 = mix(zero, zero1, 1), mix(one, one1, 1)
-    minus0, minus1 = mix(zero, zero1, -1), mix(one, one1, -1)
-    ins = [plus0, plus1, minus0, minus1]
-    # The minus-branch data walkers acquire the Hadamard-conjugate of the
-    # logical X, (Zc Xx Xy) on P4 = K g Zbar: the out basis carries the
-    # sector-flipping factor K; the remaining diagonal is the CPhase.
-    d_word = conjugate_transversal(LOGICAL_X, "H")
-    outs = [plus0, plus1,
-            engine.StateVector(minus0.layout, engine.apply_pauli_word(
-                minus0, pw_mul(_k_word(), CRITERIA_G)).amps),
-            engine.StateVector(minus1.layout, engine.apply_pauli_word(
-                minus1, pw_mul(_k_word(), CRITERIA_G)).amps)]
-    u = oracle.extract_unitary(programs.build_cphase(), ins, outs)
-    target = np.diag([1, 1, 1, -1]).astype(complex)
-    dev = float(np.max(np.abs(u - target)))
-    # exact operator form: |+><+| I + |-><-| (Zc Xx Xy)_P4
-    ses = codec.prepare_logical_zero(engine.SIX)
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=512) + 1j * rng.normal(size=512)
-    v /= np.linalg.norm(v)
-    devs = [dev]
-    for sign in (1, -1):
-        amps = np.zeros(engine.SIX.dim, dtype=complex)
-        di = oracle.data_indices(engine.SIX)
-        amps[di] = v / np.sqrt(2)
-        amps[di ^ (1 << (3 * engine.SIX.slot(pauli.PEX) + 2))] = sign * v / np.sqrt(2)
-        st = engine.StateVector(engine.SIX, amps)
-        outw = programs.run_unitary(st, programs.build_cphase())
-        pred = st if sign > 0 else engine.apply_pauli_word(st, d_word)
-        devs.append(1 - engine.fidelity(outw, pred))
-    dev = float(max(devs))
-    return {"identity": "CPhase = |+><+| I + |-><-| (K g Zbar); diag CPhase on the "
-                        "(external coin x logical) block with K-transported outputs",
-            "deviation": dev, "tolerance": 1e-10, "pass": dev < 1e-10}
-
-
-def _k_word() -> PauliWord:
-    return PauliWord.from_letters({pauli.q(2, "c"): "Y", pauli.q(0, "c"): "Y"}, 2)
-
-
-def _check_criteria() -> dict:
-    checks = [
-        conjugate_transversal(LOGICAL_Z, "H") == pw_mul(CRITERIA_G, LOGICAL_X),
-        conjugate_transversal(COIN_X_REP, "H") == pw_mul(GAUGE_FACTOR_Z, LOGICAL_Z),
-        equivalent_mod_gauge(conjugate_transversal(COIN_X_REP, "H"), LOGICAL_Z),
-        conjugate_transversal(LOGICAL_Z, "ZS") == LOGICAL_Z,
-        equivalent_mod_gauge(conjugate_transversal(LOGICAL_Z, "ZS"),
-                             pw_mul(CRITERIA_G, LOGICAL_Z)),
-        conjugate_transversal(COIN_X_REP, "ZS")
-        == pw_mul(CRITERIA_G, pw_mul(LOGICAL_X, LOGICAL_Z).times_i()),
-        LOGICAL_Z == pw_mul(GAUGE_FACTOR_Z, COIN_Z_REP),
-        LOGICAL_X == pw_mul(pauli.GAUGE_FACTOR_X, COIN_X_REP),
-    ]
-    dev = 0.0 if all(checks) else 1.0
-    return {"identity": "logical Hadamard/phase criteria and coin-word identities (symbolic)",
-            "deviation": dev, "tolerance": 0.0, "pass": all(checks)}
-
-
 def cmd_verify_identities(args) -> int:
-    results = [
-        _check_transform(),
-        _check_cnot(),
-        _check_middle_block(),
-        _check_cphase(),
-        _check_criteria(),
-    ]
+    results = verify.identity_checks()
     ok = all(r["pass"] for r in results)
     report = {
         "command": "verify-identities",
@@ -339,13 +139,6 @@ def cmd_verify_identities(args) -> int:
 # ---------------------------------------------------------------- logical-gates
 
 GATE_WORDS = ("H", "S", "Z", "T", "H H", "T T", "S S", "H T", "T T H", "H S T")
-GRID = (
-    (1.0, 0.0), (0.0, 1.0),
-    (1 / np.sqrt(2), 1 / np.sqrt(2)),
-    (1 / np.sqrt(2), -1 / np.sqrt(2)),
-    (1 / np.sqrt(2), 1j / np.sqrt(2)),
-    (0.8, 0.6j),
-)
 
 
 def cmd_logical_gates(args) -> int:
@@ -353,14 +146,7 @@ def cmd_logical_gates(args) -> int:
     tolerance = args.tolerance if args.tolerance is not None else 1e-8
     results = []
     for word in words:
-        worst = 0.0
-        for alpha, beta in GRID:
-            ses = codec.encoded_session(alpha, beta, layout=engine.SIX)
-            bloch_in = codec.logical_readout(ses).bloch
-            codec.apply_word(ses, word)
-            got = codec.logical_readout(ses).bloch
-            want = codec.ideal_bloch_map(word, bloch_in)
-            worst = max(worst, float(max(abs(g - w) for g, w in zip(got, want))))
+        worst = verify.gate_word_deviation(word)
         results.append({"word": word, "max_deviation": worst,
                         "tolerance": tolerance, "pass": bool(worst < tolerance)})
     ok = all(r["pass"] for r in results)
@@ -419,7 +205,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:  # report, don't traceback, for CLI users
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

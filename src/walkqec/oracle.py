@@ -12,7 +12,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import engine, pauli
 from .engine import Layout, StateVector
 from .pauli import (DATA_PARTICLES, GZ0, GZ1, LOGICAL_Z, PauliWord, STABILIZERS, q)
 from .programs import WalkProgram, run_unitary
@@ -41,14 +40,6 @@ def dense_of(word: PauliWord, qubit_order: Sequence = DATA_QUBIT_ORDER) -> np.nd
     for qb in order:
         m = np.kron(m, _P1Q[letters.get(qb, "I")])
     return m
-
-
-def is_unitary_matrix(m: np.ndarray, atol: float = 1e-12) -> bool:
-    return engine.is_unitary(m, atol)
-
-
-def is_hermitian_matrix(m: np.ndarray, atol: float = 1e-12) -> bool:
-    return bool(np.allclose(m, m.conj().T, atol=atol))
 
 
 def codespace_projector(signs: Sequence[int]) -> np.ndarray:

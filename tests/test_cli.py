@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from walkqec import cli
+from walkqec import cli, programs, verify
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +100,20 @@ class TestVerifyIdentities:
             reports.append(strip_timestamp(json.loads(out)))
         assert reports[0] == reports[1]
 
+    def test_wrong_program_fails_its_check(self, capsys, monkeypatch):
+        # build the cached CPhase first, so it never holds the wrong CNOT;
+        # then swap in a measurement-free program that is not the CNOT
+        programs.build_cphase()
+        monkeypatch.setattr(programs, "build_cnot_coin_to_logical",
+                            lambda: programs.build_basis_transform(()))
+        code, out = run_cli(capsys, "verify-identities")
+        report = json.loads(out)
+        assert code == 1
+        cnot = next(r for r in report["results"] if "CNOT" in r["identity"])
+        assert cnot["pass"] is False
+        assert cnot["deviation"] >= cnot["tolerance"]
+        assert not report["summary"]["pass"]
+
 
 class TestLogicalGates:
     def test_default_words_pass(self, capsys):
@@ -125,6 +139,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["error-sweep", "--family", "cosmic"])
         assert exc.value.code == 2
+
+    def test_internal_error_is_exit_3(self, capsys, monkeypatch):
+        def broken():
+            raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(verify, "check_transform", broken)
+        code = cli.main(["verify-identities"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: simulated crash\n"
+        assert captured.out == ""
 
 
 def test_env_var_default_output_dir(capsys, tmp_path, monkeypatch):
