@@ -326,9 +326,8 @@ def drop_external(session: Session) -> Session:
         return session
     session.align()
     small = Layout(layout.num_nested, False)
-    idx = np.arange(small.dim, dtype=np.int64)
-    amps = session.state.amps[idx]  # PEX occupies the top octant; b=0 block is 0..8^5-1
-    vec = amps.copy()
+    # PEX is the most significant walker, so its b=0 block is the prefix.
+    vec = session.state.amps[:small.dim].copy()
     weight = float(np.real(np.vdot(vec, vec)))
     if abs(weight - 1.0) > 1e-9:
         raise ValueError(f"external walker is not parked (weight {weight:.6f} in its home block)")
@@ -415,8 +414,7 @@ def apply_frame_physically(session: Session) -> Session:
     """
     session.align()  # corrections are home-frame words
     session.state = engine.apply_pauli_word(session.state, session.frame.word)
-    nrm = session.state.norm()
-    session.state.amps /= nrm
+    session.state.check_norm()
     flips = pauli.syndrome_of(session.frame.word)
     if session.history.cycles:
         last = session.history.cycles[-1]
@@ -442,16 +440,16 @@ def measure_g(session: Session, *, forced: Optional[dict] = None,
     session.align()
     e4 = session.history.current_eigenvalue(4)
 
-    def stage(state, prog, tags):
+    def stage(state, prog):
         return programs.run_program(state, prog, rng=session.rng, forced=forced,
                                     all_branches=all_branches)
 
     results = []
     zz = programs.build_gauge_zz_measurement()
     xx = programs.build_gauge_xx_measurement()
-    for b1 in stage(session.state, zz, ("gzz:p1", "gzz:p3")):
+    for b1 in stage(session.state, zz):
         v = (1 - 2 * b1.outcomes["gzz:p1"]) * (1 - 2 * b1.outcomes["gzz:p3"])
-        for b2 in stage(b1.state, xx, ("gxx:p1", "gxx:p3")):
+        for b2 in stage(b1.state, xx):
             w = (1 - 2 * b2.outcomes["gxx:p1"]) * (1 - 2 * b2.outcomes["gxx:p3"])
             target = session if not all_branches else session.clone()
             target.state = b2.state

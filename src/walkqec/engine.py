@@ -4,8 +4,9 @@ Each walker lives on its own square with vertices labelled 00, 10, 11, 01
 (clockwise) and carries a two-level coin.  A walker's basis index is
 b = 4c + 2x + y, and the global index packs walkers with P0 least
 significant; the external walker, when present, is most significant.
-Operators are applied in place over strided views, so a five- or
-six-walker step costs a few passes over the amplitude array.
+Coin, measurement and Pauli-word kernels act on strided views of the
+amplitude array and the shift is one flat gather, so a five- or
+six-walker step costs a few passes over the array.
 """
 
 from __future__ import annotations
@@ -127,34 +128,14 @@ def _neighbor_diag(layout: Layout) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _zero_index(layout: Layout) -> np.ndarray:
-    return np.arange(layout.dim, dtype=np.int64)
-
-
-@lru_cache(maxsize=8)
 def _shift_gather_flat(layout: Layout) -> np.ndarray:
     """Flat gather indices applying the global shift in one pass."""
-    idx = _zero_index(layout)
+    idx = np.arange(layout.dim, dtype=np.int64)
     src = np.zeros(layout.dim, dtype=np.int64)
     for p in layout.particles:
         shift_amt = 3 * layout.slot(p)
         src |= _SHIFT_GATHER[(idx >> shift_amt) & 7] << shift_amt
     return src
-
-
-@lru_cache(maxsize=256)
-def _coin_slices(layout: Layout, particle: int, vertex_v: int) -> tuple:
-    """Flat indices of the coin-0 and coin-1 components at one vertex."""
-    idx = _zero_index(layout)
-    b = (idx >> (3 * layout.slot(particle))) & 7
-    return (np.nonzero(b == vertex_v)[0], np.nonzero(b == vertex_v + 4)[0])
-
-
-@lru_cache(maxsize=16)
-def _coin_one_indices(layout: Layout, particle: int) -> np.ndarray:
-    idx = _zero_index(layout)
-    bit = 1 << (3 * layout.slot(particle) + 2)
-    return np.nonzero((idx & bit) != 0)[0]
 
 
 class StateVector:
@@ -184,6 +165,10 @@ class StateVector:
 
     def view(self) -> np.ndarray:
         return self.amps.reshape((8,) * self.layout.num_particles)
+
+    def coin_view(self, particle: int) -> np.ndarray:
+        """Writable (above, coin, vertex, below) view around one walker."""
+        return self.amps.reshape(-1, 2, 4, 8 ** self.layout.slot(particle))
 
     def __repr__(self):
         return f"StateVector(particles={self.layout.particles}, dim={self.layout.dim})"
@@ -266,12 +251,12 @@ def _coin_name(u: np.ndarray) -> str:
     return "U"
 
 
-def _coin_inplace(state: StateVector, particle: int, vertex_v: int, u: np.ndarray) -> None:
-    i0, i1 = _coin_slices(state.layout, particle, vertex_v)
-    a0 = state.amps[i0]
-    a1 = state.amps[i1]
-    state.amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    state.amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+def _coin_inplace(state: StateVector, particle: int, vertex: int | slice,
+                  u: np.ndarray) -> None:
+    """2x2 coin update at one vertex v, or at every vertex for slice(None)."""
+    w = state.coin_view(particle)
+    a0, a1 = w[:, 0, vertex], w[:, 1, vertex]
+    w[:, 0, vertex], w[:, 1, vertex] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
 
 
 def apply_coin(state: StateVector, spec: CoinSpec, inplace: bool = False) -> StateVector:
@@ -289,8 +274,7 @@ def apply_local_coin(state: StateVector, particle: int, u: np.ndarray,
     if not is_unitary(u):
         raise ValueError("local coin operator must be unitary")
     out = state if inplace else state.copy()
-    for v in range(4):
-        _coin_inplace(out, particle, v, u)
+    _coin_inplace(out, particle, slice(None), u)
     return out
 
 
@@ -329,42 +313,37 @@ def apply_particle_unitary(state: StateVector, particle: int, u8: np.ndarray,
     return StateVector(state.layout, amps)
 
 
-def _word_masks(layout: Layout, word: PauliWord) -> tuple:
-    """(xmask, zmask, phase) for applying a Pauli word on this layout."""
-    xmask = 0
-    zmask = 0
+def _word_factors(layout: Layout, word: PauliWord) -> tuple:
+    """(flipped axes, sign tensor) of a Pauli word over the (2,) * 3n bit view.
+
+    Bit axes run most-significant first.  The sign tensor carries the
+    word's phase and, per Z axis, a factor of -1 where the source bit is
+    set; on an axis X also flips, the source bit is the complement.
+    """
+    n_bits = 3 * layout.num_particles
+    flips, zs = set(), set()
     phase_pow = word.phase_pow
     role_bit = {"y": 0, "x": 1, "c": 2}
     for qubit, letter in word.ops:
-        bit = 1 << (3 * layout.slot(qubit.particle) + role_bit[qubit.role])
+        axis = n_bits - 1 - (3 * layout.slot(qubit.particle) + role_bit[qubit.role])
         if letter in ("X", "Y"):
-            xmask |= bit
+            flips.add(axis)
         if letter in ("Z", "Y"):
-            zmask |= bit
+            zs.add(axis)
         if letter == "Y":
             phase_pow += 1
-    return xmask, zmask, (1j) ** (phase_pow % 4)
-
-
-def _parity(values: np.ndarray) -> np.ndarray:
-    v = values.copy()
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+    sign = np.full((1,) * n_bits, (1j) ** (phase_pow % 4))
+    for axis in zs:
+        factor = np.array([-1.0, 1.0] if axis in flips else [1.0, -1.0])
+        sign = sign * factor.reshape(tuple(2 if k == axis else 1 for k in range(n_bits)))
+    return tuple(sorted(flips)), sign
 
 
 def apply_pauli_word(state: StateVector, word: PauliWord) -> StateVector:
     """Apply a signed Pauli word; exact (no matrix is materialized)."""
-    xmask, zmask, phase = _word_masks(state.layout, word)
-    idx = _zero_index(state.layout)
-    src = idx ^ xmask if xmask else idx
-    amps = state.amps[src].astype(complex, copy=True)
-    if zmask:
-        signs = 1.0 - 2.0 * _parity(src & zmask)
-        amps *= signs
-    if phase != 1:
-        amps *= phase
-    return StateVector(state.layout, amps)
+    flips, sign = _word_factors(state.layout, word)
+    bits = state.amps.reshape((2,) * sign.ndim)
+    return StateVector(state.layout, (np.flip(bits, flips) * sign).reshape(-1))
 
 
 def expectation(state: StateVector, word: PauliWord) -> float:
@@ -403,22 +382,14 @@ def project_pauli(state: StateVector, word: PauliWord, sign: int,
 
 
 def coin_one_probability(state: StateVector, particle: int) -> float:
-    ones = _coin_one_indices(state.layout, particle)
-    a = state.amps[ones]
+    a = state.coin_view(particle)[:, 1]
     return float(np.real(np.vdot(a, a)))
 
 
 def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float) -> StateVector:
-    ones = _coin_one_indices(state.layout, particle)
-    amps = state.amps.copy()
-    if outcome:
-        full = np.zeros_like(amps)
-        full[ones] = amps[ones]
-        amps = full
-    else:
-        amps[ones] = 0.0
-    amps /= np.sqrt(prob)
-    return StateVector(state.layout, amps)
+    out = StateVector(state.layout, state.amps / np.sqrt(prob))
+    out.coin_view(particle)[:, 1 - outcome] = 0.0
+    return out
 
 
 def measure_coin(state: StateVector, particle: int, *,

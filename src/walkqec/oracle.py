@@ -132,6 +132,22 @@ def extract_unitary(program: WalkProgram, inputs: Sequence[StateVector],
     return np.array(cols, dtype=complex).T
 
 
+def basis_matrix(program: WalkProgram, layout: Layout, flats: Sequence[int]) -> np.ndarray:
+    """Matrix <e_i | U_program | e_j> over the basis states at flat indices ``flats``.
+
+    Each one-hot input is built, run and read by index in turn, so at most
+    one of them is alive at a time: a one-hot array is almost all untouched
+    pages, and how much of it is resident depends on the host's huge-page
+    policy, not on the program."""
+    flats = list(flats)
+    cols = []
+    for flat in flats:
+        amps = np.zeros(layout.dim, dtype=complex)
+        amps[flat] = 1.0
+        cols.append(run_unitary(StateVector(layout, amps), program).amps[flats])
+    return np.array(cols, dtype=complex).T
+
+
 def program_matrix_on_particle(program: WalkProgram, layout: Layout, particle: int,
                                rest: Optional[Mapping[int, int]] = None) -> np.ndarray:
     """8x8 matrix of a program restricted to one walker, all others pinned.
@@ -139,16 +155,12 @@ def program_matrix_on_particle(program: WalkProgram, layout: Layout, particle: i
     Only meaningful when the program acts trivially on the pinned walkers
     (checked by unitarity of the result)."""
     rest = dict(rest or {})
-    ins = []
-    for b in range(8):
-        amps = np.zeros(layout.dim, dtype=complex)
-        flat = (b & 7) << (3 * layout.slot(particle))
-        for p in layout.particles:
-            if p != particle:
-                flat |= (rest.get(p, 0) & 7) << (3 * layout.slot(p))
-        amps[flat] = 1.0
-        ins.append(StateVector(layout, amps))
-    return extract_unitary(program, ins, ins)
+    pinned = 0
+    for p in layout.particles:
+        if p != particle:
+            pinned |= (rest.get(p, 0) & 7) << (3 * layout.slot(p))
+    return basis_matrix(program, layout,
+                        [pinned | (b << (3 * layout.slot(particle))) for b in range(8)])
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:

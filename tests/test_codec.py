@@ -175,6 +175,13 @@ class TestFrame:
         assert np.allclose(virt, phys, atol=1e-10)
         assert np.allclose(virt, want, atol=1e-10)
 
+    def test_physical_application_checks_norm(self):
+        ses = encoded_session(0.8, 0.6j)
+        ses.frame.word = PauliWord.single(0, "y", "X")
+        ses.state.amps *= 1.01
+        with pytest.raises(ValueError):
+            apply_frame_physically(ses)
+
 
 class TestCorrectability:
     @pytest.mark.parametrize("target", [0, 2, 4])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from walkqec import engine, oracle
+from walkqec import engine, errors, oracle
 from walkqec.engine import (COIN_H, COIN_HP, COIN_I, COIN_S, COIN_T, COIN_X,
                             COIN_Z, CoinSpec, Layout, all_at_origin,
                             apply_coin, apply_neighbor, apply_particle_unitary,
@@ -189,6 +189,58 @@ class TestPauliWordApplication:
             dense = oracle.dense_of(word) @ vec
             got = oracle.extract_data_vector(out, require=0.0)
             assert np.max(np.abs(got - dense)) < 1e-12
+
+
+EVERY_WALKER = [(FIVE, p) for p in FIVE.particles] + [(SIX, p) for p in SIX.particles]
+
+
+@pytest.mark.parametrize("layout,particle", EVERY_WALKER,
+                         ids=[f"{'SIX' if lay.with_external else 'FIVE'}-P{p}"
+                              for lay, p in EVERY_WALKER])
+class TestEveryWalkerSlot:
+    """Coin, measurement and word kernels against 8x8 walker maps, slot by slot."""
+
+    def test_vertex_conditioned_coin(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        spec, u8 = CoinSpec(), np.zeros((8, 8), dtype=complex)
+        for label in engine.VERTEX_LABELS:
+            u, v = errors._haar_2x2(rng), engine.V_OF_LABEL[label]
+            spec.set(particle, label, u)
+            u8[np.ix_([v, 4 + v], [v, 4 + v])] = u
+        want = apply_particle_unitary(st, particle, u8)
+        assert np.max(np.abs(apply_coin(st, spec).amps - want.amps)) < 1e-12
+
+    def test_local_coin(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        u = errors._haar_2x2(rng)
+        want = apply_particle_unitary(st, particle, np.kron(u, np.eye(4)))
+        got = engine.apply_local_coin(st, particle, u)
+        assert np.max(np.abs(got.amps - want.amps)) < 1e-12
+
+    def test_measure_coin_both_branches(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        # P_bit = (1 + (-1)^bit Zc) / 2 with Zc = kron(Z, I4)
+        zc = apply_particle_unitary(st, particle, np.kron(COIN_Z, np.eye(4)))
+        branches = measure_coin(st, particle, both_branches=True)
+        assert [bit for bit, _, _ in branches] == [0, 1]
+        for bit, post, prob in branches:
+            projected = 0.5 * (st.amps + (-1) ** bit * zc.amps)
+            want = np.vdot(projected, projected).real
+            assert abs(prob - want) < 1e-12
+            assert np.max(np.abs(post.amps - projected / np.sqrt(want))) < 1e-12
+
+    def test_pauli_word_with_phase(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        # one Y in the word, so a sign read from the wrong bit flips the result
+        triples = {p: "".join(rng.choice(list("XZ"), size=3)) for p in layout.particles}
+        triples[particle] = "YZX"
+        word = from_triples(triples, phase_pow=3)
+        want = st
+        for p, triple in triples.items():
+            want = apply_particle_unitary(
+                want, p, engine.pauli_word_matrix(from_triples({p: triple}), p))
+        got = apply_pauli_word(st, word)
+        assert np.max(np.abs(got.amps - word.phase * want.amps)) < 1e-12
 
 
 class TestMeasurement:

@@ -83,6 +83,20 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_unitary(programs.build_full_cycle(0), sts, sts)
 
+    def test_basis_matrix_matches_one_hot_extraction(self):
+        # outputs read by index agree with overlaps against one-hot outputs
+        lay = engine.Layout(3, False)
+        prog = programs.build_basis_transform((0, 2))
+        flats = [0, 5, 12, 100, 300, 511]
+        ins = []
+        for flat in flats:
+            amps = np.zeros(lay.dim, dtype=complex)
+            amps[flat] = 1.0
+            ins.append(engine.StateVector(lay, amps))
+        u = oracle.basis_matrix(prog, lay, flats)
+        assert np.array_equal(u, extract_unitary(prog, ins, ins))
+        assert np.abs(u).max() > 0.1 and np.abs(u - np.eye(len(flats))).max() > 0.1
+
     def test_strided_engine_matches_dense_composition(self, rng):
         # one full random walk step applied both ways on the data block
         spec = engine.CoinSpec()
