@@ -235,7 +235,12 @@ class Session:
         return self
 
     def clone(self) -> "Session":
-        s = Session(self.state.copy(),
+        return self._around(self.state.copy())
+
+    def _around(self, state: StateVector) -> "Session":
+        """Copies of this session's classical records around ``state``,
+        which is taken as it is, not copied."""
+        s = Session(state,
                     SyndromeHistory(self.history.references, list(self.history.cycles)),
                     self.rng)
         s.frame = PauliFrame(self.frame.word, list(self.frame.log), self.frame.uncorrectable)
@@ -347,7 +352,7 @@ def encoded_session(alpha: complex, beta: complex, *,
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-10:
         raise ValueError("amplitudes must be normalized")
-    base = _prepared_zero_cached(layout)
+    base = _prepared_zero(layout)
     zero = base.state.amps
     one = engine.apply_pauli_word(base.state, LOGICAL_X).amps
     ses = Session(StateVector(layout, alpha * zero + beta * one),
@@ -358,11 +363,11 @@ def encoded_session(alpha: complex, beta: complex, *,
 _PREP_CACHE: dict = {}
 
 
-def _prepared_zero_cached(layout: Layout) -> Session:
+def _prepared_zero(layout: Layout) -> Session:
+    """The cached |0>_L session of a layout; read it, never modify it."""
     if layout not in _PREP_CACHE:
         _PREP_CACHE[layout] = prepare_logical_zero(layout)
-    base = _PREP_CACHE[layout]
-    return base.clone()
+    return _PREP_CACHE[layout]
 
 
 def run_cycle(session: Session, *, forced: Optional[dict] = None,
@@ -380,7 +385,7 @@ def run_cycle(session: Session, *, forced: Optional[dict] = None,
         session.state, prog, rng=session.rng, forced=forced, all_branches=all_branches)
     results = []
     for br in branches:
-        target = session if not all_branches else session.clone()
+        target = session if not all_branches else session._around(br.state)
         target.state = br.state
         target.displacement = (target.displacement + 2) % 4
         raw = tuple(1 - 2 * br.outcomes[f"s{i}"] for i in range(6))
@@ -451,7 +456,7 @@ def measure_g(session: Session, *, forced: Optional[dict] = None,
         v = (1 - 2 * b1.outcomes["gzz:p1"]) * (1 - 2 * b1.outcomes["gzz:p3"])
         for b2 in stage(b1.state, xx):
             w = (1 - 2 * b2.outcomes["gxx:p1"]) * (1 - 2 * b2.outcomes["gxx:p3"])
-            target = session if not all_branches else session.clone()
+            target = session if not all_branches else session._around(b2.state)
             target.state = b2.state
             results.append((b1.probability * b2.probability, e4 * v * w, target))
     if all_branches:

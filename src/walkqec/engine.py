@@ -4,9 +4,14 @@ Each walker lives on its own square with vertices labelled 00, 10, 11, 01
 (clockwise) and carries a two-level coin.  A walker's basis index is
 b = 4c + 2x + y, and the global index packs walkers with P0 least
 significant; the external walker, when present, is most significant.
-Coin, measurement and Pauli-word kernels act on strided views of the
-amplitude array and the shift is one flat gather, so a five- or
-six-walker step costs a few passes over the array.
+
+Compiled programs run on two kernels, each one pass over the array into
+a scratch buffer: ``apply_walker_maps`` (an 8x8 map on one walker, a
+matmul over the (above, 8, below) view) and ``apply_signed_permutation``
+(a gather plus a masked negation).  The single-step operations (coin,
+shift, neighbor) remain for the codec and for the per-step reference
+executor; coin, measurement and Pauli-word kernels act on strided views
+of the amplitude array, and the shift is one flat gather.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ for _v in range(4):
     _SHIFT_PERM[4 + _v] = 4 + V_SUCC[_v]
 # Gather indices: new[b] = old[_SHIFT_GATHER[b]].
 _SHIFT_GATHER = np.argsort(_SHIFT_PERM)
+# The same shift as an 8x8 map on one walker.
+SHIFT_MAP = np.eye(8, dtype=complex)[_SHIFT_GATHER]
 
 # Named 2x2 coin operators.
 COIN_I = np.eye(2, dtype=complex)
@@ -110,21 +117,40 @@ FIVE = Layout(5, False)
 SIX = Layout(5, True)
 
 
+def neighbor_parity(layout: Layout) -> np.ndarray:
+    """True where an odd number of adjacent pairs match: the neighbor
+    interaction's -1 entries.
+
+    The parity is accumulated on a bool (8,) * n view from 8x8 pair
+    tables broadcast over the other walkers, so no index array over the
+    whole state is built.
+    """
+    n = layout.num_particles
+    odd = np.zeros((8,) * n, dtype=bool)
+
+    def on_axes(table: np.ndarray, p: int, q: int) -> np.ndarray:
+        ap, aq = n - 1 - layout.slot(p), n - 1 - layout.slot(q)
+        if ap > aq:
+            table, ap, aq = table.T, aq, ap
+        shape = [1] * n
+        shape[ap] = shape[aq] = 8
+        return table.reshape(shape)
+
+    for i, j in layout.nested_pairs():
+        odd ^= on_axes(np.eye(8, dtype=bool), i, j)
+    if layout.with_external:
+        ext = np.zeros((8, 8), dtype=bool)  # indexed [b(PEX), b(P4)]
+        for coin in (0, 4):
+            # PEX at 10 with P4 at 00, and PEX at 11 with P4 at 01.
+            ext[coin + 2, coin + 0] = ext[coin + 3, coin + 1] = True
+        odd ^= on_axes(ext, PEX, 4)
+    return odd.reshape(-1)
+
+
 @lru_cache(maxsize=8)
 def _neighbor_diag(layout: Layout) -> np.ndarray:
     """Diagonal of the neighbor interaction: -1 per matching adjacent pair."""
-    idx = np.arange(layout.dim, dtype=np.int64)
-    count = np.zeros(layout.dim, dtype=np.int64)
-    b = {p: (idx >> (3 * layout.slot(p))) & 7 for p in layout.particles}
-    for i, j in layout.nested_pairs():
-        count += (b[i] == b[j]).astype(np.int64)
-    if layout.with_external:
-        bx, b4 = b[PEX], b[4]
-        for coin in (0, 4):
-            # PEX at 10 with P4 at 00, and PEX at 11 with P4 at 01.
-            count += ((bx == coin + 2) & (b4 == coin + 0)).astype(np.int64)
-            count += ((bx == coin + 3) & (b4 == coin + 1)).astype(np.int64)
-    return np.where(count % 2 == 1, -1.0, 1.0)
+    return np.where(neighbor_parity(layout), -1.0, 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -230,6 +256,14 @@ class CoinSpec:
     def items(self):
         return self.entries.items()
 
+    def walker_maps(self) -> dict:
+        """The update as one 8x8 map per touched walker."""
+        maps: dict = {}
+        for (particle, v), u in self.entries.items():
+            m = maps.setdefault(particle, np.eye(8, dtype=complex))
+            m[[v, v, 4 + v, 4 + v], [v, 4 + v, v, 4 + v]] = u.reshape(-1)
+        return maps
+
     def is_identity(self) -> bool:
         return not self.entries
 
@@ -311,6 +345,38 @@ def apply_particle_unitary(state: StateVector, particle: int, u8: np.ndarray,
         state.amps[:] = amps
         return state
     return StateVector(state.layout, amps)
+
+
+def apply_walker_maps(state: StateVector, maps, scratch: np.ndarray) -> np.ndarray:
+    """Apply 8x8 maps, given as (particle, u8) pairs, one pass each.
+
+    Each pass writes ``scratch`` from ``state.amps`` and then swaps the
+    two, so the state holds the result; the spare buffer is returned.
+    """
+    for particle, u8 in maps:
+        below = 8 ** state.layout.slot(particle)
+        if below == 1:
+            # one (above x 8) @ (8 x 8) product instead of a batch of columns
+            np.matmul(state.amps.reshape(-1, 8), u8.T, out=scratch.reshape(-1, 8))
+        else:
+            src = state.amps.reshape(-1, 8, below)
+            np.matmul(u8, src, out=scratch.reshape(src.shape))
+        state.amps, scratch = scratch, state.amps
+    return scratch
+
+
+def apply_signed_permutation(state: StateVector, gather: np.ndarray, negate: np.ndarray,
+                             scratch: np.ndarray) -> np.ndarray:
+    """new[i] = -old[gather[i]] where ``negate[i]``, else old[gather[i]].
+
+    Writes ``scratch`` and swaps it with ``state.amps`` like
+    ``apply_walker_maps``.  ``mode="clip"`` lets ``np.take`` write into
+    ``out`` directly; the default mode would buffer a full copy.
+    """
+    np.take(state.amps, gather, out=scratch, mode="clip")
+    np.negative(scratch, out=scratch, where=negate)
+    state.amps, scratch = scratch, state.amps
+    return scratch
 
 
 def _word_factors(layout: Layout, word: PauliWord) -> tuple:

@@ -5,6 +5,15 @@ MeasureCoin, ResetAncilla, InjectionPoint}.  Coin/Shift/Neighbor steps are
 globally synchronous across walkers.  Structure is used for guarantees:
 transform blocks simply contain no Neighbor steps, which is how neighbor
 interactions are suppressed there.
+
+``run_program`` executes a program compiled into segments.  MeasureCoin,
+ResetAncilla and InjectionPoint are barriers.  Between them, each
+walker's Coin, LocalCoin and Shift steps fold into one 8x8 map; maps
+that are signed permutations fold, with the Neighbor steps, into one
+gather table, and the others are applied as walker maps.  A syndrome
+cycle of 101 steps runs as 10 array segments.  ``interpret_program``
+runs the steps one at a time and is the reference the tests compare
+against; ``listing()`` and the step counts describe the source program.
 """
 
 from __future__ import annotations
@@ -122,6 +131,237 @@ class Branch:
     last_bit: dict = field(default_factory=dict)  # walker -> most recent outcome
 
 
+# ------------------------------------------------------------ compile pass
+
+@dataclass(frozen=True, eq=False)
+class WalkerMaps:
+    """One 8x8 map per walker, (particle, u8) pairs, applied in one pass each."""
+
+    maps: tuple
+
+    def apply(self, state: StateVector, scratch: np.ndarray) -> np.ndarray:
+        return engine.apply_walker_maps(state, self.maps, scratch)
+
+
+@dataclass(frozen=True, eq=False)
+class SignedPermutation:
+    """new[i] = +/- old[gather[i]], the sign negative where ``negate[i]``."""
+
+    gather: np.ndarray
+    negate: np.ndarray
+
+    def apply(self, state: StateVector, scratch: np.ndarray) -> np.ndarray:
+        return engine.apply_signed_permutation(state, self.gather, self.negate, scratch)
+
+
+_BARRIERS = (MeasureCoin, ResetAncilla, InjectionPoint)
+_NEIGHBOR = "neighbor"   # marker between walker products in a permutation's ops
+
+
+def _step_key(step) -> object:
+    """Hashable content of a step; CoinSpec itself hashes by identity."""
+    if isinstance(step, Coin):
+        return ("coin", tuple((p, v, u.tobytes())
+                              for (p, v), u in sorted(step.spec.entries.items())))
+    return step
+
+
+@dataclass(frozen=True)
+class _Source:
+    """A program's steps, hashed and compared by their content only."""
+
+    key: tuple
+    steps: tuple = field(compare=False)
+
+
+def compile_program(program: WalkProgram, layout: Layout) -> tuple:
+    """The program as segments: WalkerMaps, SignedPermutation and barrier steps.
+
+    Compiled segments are cached per layout by program content, so
+    equal programs built twice share one entry.
+    """
+    key = tuple(_step_key(s) for s in program.steps)
+    return _compiled(layout, _Source(key, program.steps))
+
+
+@lru_cache(maxsize=64)
+def _compiled(layout: Layout, source: _Source) -> tuple:
+    segments: list = []
+    run: list = []
+    for step in source.steps:
+        if isinstance(step, _BARRIERS):
+            segments += _fuse(run, layout)
+            segments.append(step)
+            run = []
+        elif isinstance(step, (Coin, Shift, Neighbor, LocalCoin)):
+            run.append(step)
+        else:
+            raise TypeError(f"unknown step {step!r}")
+    return tuple(segments + _fuse(run, layout))
+
+
+def _walker_products(steps: list, layout: Layout) -> list:
+    """Per-walker products of the steps between Neighbor steps.
+
+    Returns k + 1 dicts particle -> 8x8 for k Neighbor steps; exact
+    identities are dropped.
+    """
+    groups = [{}]
+    for step in steps:
+        if isinstance(step, Neighbor):
+            groups.append({})
+            continue
+        if isinstance(step, Coin):
+            factors = step.spec.walker_maps()
+        elif isinstance(step, LocalCoin):
+            factors = {step.particle: np.kron(step.matrix, np.eye(4))}
+        else:
+            factors = dict.fromkeys(layout.particles, engine.SHIFT_MAP)
+        for particle, m in factors.items():
+            layout.slot(particle)  # rejects walkers outside the layout
+            acc = groups[-1]
+            acc[particle] = m @ acc[particle] if particle in acc else m
+    eye = np.eye(8)
+    return [{p: m for p, m in g.items() if not np.array_equal(m, eye)} for g in groups]
+
+
+def _as_signed_permutation(m: np.ndarray):
+    """(source, sign) tuples with m[b, source[b]] = sign[b], or None."""
+    rows, cols = np.nonzero(m)
+    values = m[rows, cols]
+    if (not np.array_equal(rows, np.arange(8)) or len(set(cols.tolist())) != 8
+            or not np.all((values == 1) | (values == -1))):
+        return None
+    return tuple(cols.tolist()), tuple(int(v) for v in values.real)
+
+
+def _fuse(steps: list, layout: Layout) -> list:
+    """Segments for a barrier-free run of Coin/Shift/Neighbor/LocalCoin steps.
+
+    Walker maps that are signed permutations join the Neighbor steps in
+    one SignedPermutation; the others become WalkerMaps segments.  Maps
+    on different walkers commute, so a product's permutation factors
+    join the open permutation when there is one and start the next one
+    otherwise.
+    """
+    segments: list = []
+    ops: list = []          # the open permutation: walker products and _NEIGHBOR
+    products = _walker_products(steps, layout)
+    for i, product in enumerate(products):
+        perms, general = [], []
+        for particle, m in sorted(product.items()):
+            perm = _as_signed_permutation(m)
+            if perm is None:
+                general.append((particle, m))
+            else:
+                perms.append((particle, perm))
+        if perms and (ops or not general):
+            ops.append(tuple(perms))
+            perms = []
+        if general:
+            if ops:
+                segments.append(_signed_permutation(layout, tuple(ops)))
+                ops = []
+            segments.append(WalkerMaps(tuple(general)))
+        if perms:
+            ops.append(tuple(perms))
+        if i < len(products) - 1:
+            ops.append(_NEIGHBOR)
+    if ops:
+        segments.append(_signed_permutation(layout, tuple(ops)))
+    return segments
+
+
+@lru_cache(maxsize=32)
+def _signed_permutation(layout: Layout, ops: tuple) -> SignedPermutation:
+    """Fold walker permutations and Neighbor steps into one gather table.
+
+    The ops run once on the probe vector 1..dim; each output entry is
+    then +/-(1 + the index it gathers).  The probe is held as (upper
+    walkers, lower walkers), so a walker product is two gathers over
+    small index tables instead of one over the array.
+    """
+    n = layout.num_particles
+    low = n // 2
+    probe = np.arange(1, layout.dim + 1, dtype=np.int32).reshape(-1, 8 ** low)
+    for op in ops:
+        if op == _NEIGHBOR:
+            flips = engine.neighbor_parity(layout).reshape(probe.shape)
+        else:
+            by_slot = {layout.slot(p): perm for p, perm in op}
+            upper, upper_sign = _digit_permutation(by_slot, range(n - 1, low - 1, -1))
+            lower, lower_sign = _digit_permutation(by_slot, range(low - 1, -1, -1))
+            probe = np.take(np.take(probe, upper, axis=0), lower, axis=1)
+            flips = np.multiply.outer(upper_sign, lower_sign) < 0
+        np.negative(probe, out=probe, where=flips)
+    probe = probe.reshape(-1)
+    return SignedPermutation(np.abs(probe) - 1, probe < 0)
+
+
+def _digit_permutation(by_slot: dict, slots: range) -> tuple:
+    """Source index and sign over the packed digits of ``slots`` (most
+    significant first) for per-slot (source, sign) permutations."""
+    index, sign = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int8)
+    for slot in slots:
+        source, signs = by_slot.get(slot, (range(8), (1,) * 8))
+        index = np.add.outer(8 * index, np.asarray(source)).reshape(-1)
+        sign = np.multiply.outer(sign, np.asarray(signs, dtype=np.int8)).reshape(-1)
+    return index, sign
+
+
+# -------------------------------------------------------------- executors
+
+@dataclass
+class _Policy:
+    """Measurement policy and injections of one run; executes barrier steps."""
+
+    rng: Optional[np.random.Generator] = None
+    forced: Optional[dict] = None
+    all_branches: bool = False
+    injections: Optional[dict] = None
+    branch_tol: float = 1e-12
+
+    def barrier(self, step, branches: list) -> list:
+        if isinstance(step, MeasureCoin):
+            return self._measure(step, branches)
+        if isinstance(step, ResetAncilla):
+            for br in branches:
+                if br.last_bit.get(step.particle, 0):
+                    engine.apply_local_coin(br.state, step.particle, COIN_X, inplace=True)
+        elif isinstance(step, InjectionPoint):
+            if self.injections and step.tag in self.injections:
+                for br in branches:
+                    br.state = self.injections[step.tag](br.state)
+        else:
+            raise TypeError(f"unknown step {step!r}")
+        return branches
+
+    def _measure(self, step: MeasureCoin, parents: list) -> list:
+        """Children of every parent, in order.  Each parent is taken off
+        ``parents`` once its children exist, so its array can be freed."""
+        children = []
+        while parents:
+            br = parents.pop(0)
+            if self.all_branches:
+                results = engine.measure_coin(br.state, step.particle,
+                                              both_branches=True, tol=self.branch_tol)
+            elif self.forced is not None and step.tag in self.forced:
+                results = [engine.measure_coin(br.state, step.particle,
+                                               forced=self.forced[step.tag])]
+            else:
+                if self.rng is None:
+                    raise ValueError(
+                        f"no measurement policy for tag {step.tag!r}: "
+                        "pass rng, forced outcomes, or all_branches=True")
+                results = [engine.measure_coin(br.state, step.particle, rng=self.rng)]
+            for bit, post, prob in results:
+                nb = Branch(post, br.probability * prob, dict(br.outcomes), dict(br.last_bit))
+                nb.outcomes[step.tag] = bit
+                nb.last_bit[step.particle] = bit
+                children.append(nb)
+        return [b for b in children if b.probability > self.branch_tol]
+
+
 def run_program(state: StateVector, program: WalkProgram, *,
                 rng: Optional[np.random.Generator] = None,
                 forced: Optional[dict] = None,
@@ -134,7 +374,34 @@ def run_program(state: StateVector, program: WalkProgram, *,
     bit), or ``all_branches`` (branch summing; zero-probability branches
     are pruned).  ``injections`` maps an InjectionPoint tag to a callable
     state -> state, the only sanctioned way to disturb a managed run.
+    The program runs compiled (see ``compile_program``).  Between two
+    barriers every array segment writes one scratch buffer, which the
+    branches pass along; it is dropped at each barrier, so it is not
+    held while measurements multiply the branches.
     """
+    segments = compile_program(program, state.layout)
+    policy = _Policy(rng, forced, all_branches, injections, branch_tol)
+    branches = [Branch(state.copy())]
+    scratch = None
+    for seg in segments:
+        if isinstance(seg, _BARRIERS):
+            scratch = None
+            branches = policy.barrier(seg, branches)
+        else:
+            if scratch is None:
+                scratch = np.empty_like(state.amps)
+            for br in branches:
+                scratch = seg.apply(br.state, scratch)
+    return branches
+
+
+def interpret_program(state: StateVector, program: WalkProgram, **policy) -> list:
+    """Per-step reference executor with ``run_program``'s keywords.
+
+    Runs each step through its own engine operation; tests compare the
+    compiled executor against it.
+    """
+    run = _Policy(**policy)
     branches = [Branch(state.copy())]
     for step in program.steps:
         if isinstance(step, Coin):
@@ -149,39 +416,8 @@ def run_program(state: StateVector, program: WalkProgram, *,
         elif isinstance(step, LocalCoin):
             for br in branches:
                 engine.apply_local_coin(br.state, step.particle, step.matrix, inplace=True)
-        elif isinstance(step, MeasureCoin):
-            new_branches = []
-            for br in branches:
-                if all_branches:
-                    results = engine.measure_coin(br.state, step.particle,
-                                                  both_branches=True, tol=branch_tol)
-                elif forced is not None and step.tag in forced:
-                    results = [engine.measure_coin(br.state, step.particle,
-                                                   forced=forced[step.tag])]
-                else:
-                    if rng is None:
-                        raise ValueError(
-                            f"no measurement policy for tag {step.tag!r}: "
-                            "pass rng, forced outcomes, or all_branches=True")
-                    results = [engine.measure_coin(br.state, step.particle, rng=rng)]
-                for bit, post, prob in results:
-                    nb = Branch(post, br.probability * prob,
-                                dict(br.outcomes), dict(br.last_bit))
-                    nb.outcomes[step.tag] = bit
-                    nb.last_bit[step.particle] = bit
-                    new_branches.append(nb)
-            branches = [b for b in new_branches if b.probability > branch_tol]
-        elif isinstance(step, ResetAncilla):
-            for br in branches:
-                bit = br.last_bit.get(step.particle, 0)
-                if bit:
-                    engine.apply_local_coin(br.state, step.particle, COIN_X, inplace=True)
-        elif isinstance(step, InjectionPoint):
-            if injections and step.tag in injections:
-                for br in branches:
-                    br.state = injections[step.tag](br.state)
         else:
-            raise TypeError(f"unknown step {step!r}")
+            branches = run.barrier(step, branches)
     return branches
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from walkqec import codec, engine
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a failure reproduces from the test alone.
+settings.register_profile("walkqec", derandomize=True, database=None)
+settings.load_profile("walkqec")
 
 @pytest.fixture(scope="session")
 def zero_session_five():

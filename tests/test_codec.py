@@ -91,6 +91,30 @@ class TestEncode:
         fast = encoded_session(0.8, 0.6j)
         assert engine.fidelity(ses.state, fast.state) == pytest.approx(1.0, abs=1e-12)
 
+    def test_sessions_from_the_prepared_cache_do_not_alias(self):
+        first = encoded_session(0.8, 0.6j)
+        want = first.state.amps.copy()
+        first.state.amps[:] = 0
+        second = encoded_session(0.8, 0.6j)
+        assert not np.shares_memory(first.state.amps, second.state.amps)
+        assert np.array_equal(second.state.amps, want)
+        second.state.amps *= 2
+        assert np.array_equal(encoded_session(0.8, 0.6j).state.amps, want)
+        twin = second.clone()
+        assert not np.shares_memory(twin.state.amps, second.state.amps)
+
+    def test_branch_sessions_own_their_states(self):
+        ses = encoded_session(0.8, 0.6j)
+        inject_error(ses, errors.sample_random_error(np.random.default_rng(4), "coin", 2))
+        before = ses.state.amps.copy()
+        branches = [s for _, s in run_cycle(ses, all_branches=True)]
+        assert len(branches) > 1
+        assert np.array_equal(ses.state.amps, before) and not ses.history.cycles
+        for a in branches:
+            assert not np.shares_memory(a.state.amps, ses.state.amps)
+            assert all(not np.shares_memory(a.state.amps, b.state.amps)
+                       for b in branches if b is not a)
+
 
 class TestCycles:
     def test_undisturbed_all_zero_m(self):

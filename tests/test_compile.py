@@ -1,0 +1,181 @@
+"""The compile pass: segment shapes, equality with the per-step reference
+executor, and the compiled-program cache."""
+
+import numpy as np
+import pytest
+
+from walkqec import codec, engine, errors, programs, verify
+from walkqec.engine import COIN_X, CoinSpec
+from walkqec.pauli import DATA_PARTICLES
+from walkqec.programs import (InjectionPoint, LocalCoin, SignedPermutation, WalkProgram,
+                              WalkerMaps, build_basis_transform, build_cnot_coin_to_logical,
+                              build_cphase, build_full_cycle, build_gauge_xx_measurement,
+                              build_gauge_zz_measurement, build_logical_clifford,
+                              build_syndrome_step, compile_program, interpret_program,
+                              inverted, run_program)
+
+from conftest import random_state
+
+FIVE, SIX = engine.FIVE, engine.SIX
+
+
+def shape(program, layout):
+    """Segments as strings: walker-map particles, "perm", or the step class."""
+    out = []
+    for seg in compile_program(program, layout):
+        if isinstance(seg, WalkerMaps):
+            out.append("maps" + "".join(f"P{p}" for p, _ in seg.maps))
+        elif isinstance(seg, SignedPermutation):
+            out.append("perm")
+        else:
+            out.append(type(seg).__name__)
+    return out
+
+
+def assert_same_branches(fused, reference):
+    assert [b.outcomes for b in fused] == [b.outcomes for b in reference]
+    for a, b in zip(fused, reference):
+        assert abs(a.probability - b.probability) < 1e-12
+        assert np.max(np.abs(a.state.amps - b.state.amps)) < 1e-12
+
+
+def encoded_random(rng):
+    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+    amps /= np.linalg.norm(amps)
+    return codec.encoded_session(*amps)
+
+
+class TestShapes:
+    def test_cphase(self):
+        maps = "maps" + "".join(f"P{p}" for p in (0, 2, 4, engine.PEX))
+        assert shape(build_cphase(), SIX) == [maps, "perm", maps]
+
+    def test_cnot(self):
+        assert shape(build_cnot_coin_to_logical(), SIX) == ["mapsP4", "perm", "mapsP4"]
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_cycle_has_ten_array_segments(self, parity):
+        segs = compile_program(build_full_cycle(parity), FIVE)
+        arrays = [s for s in segs if isinstance(s, (WalkerMaps, SignedPermutation))]
+        assert len(arrays) == 10
+        assert len(build_full_cycle(parity).steps) == 101
+
+    def test_bare_shifts_cancel(self):
+        assert shape(build_basis_transform(()), FIVE) == []
+
+    def test_walker_outside_layout_is_rejected(self):
+        with pytest.raises(ValueError):
+            compile_program(build_logical_clifford("H"), engine.Layout(1, False))
+
+
+# Measuring programs run on FIVE with branch summing and on SIX with a
+# seeded policy (one branch); unitary programs run on both layouts.
+PROGRAMS = {
+    "syndrome-s0s2": build_syndrome_step("s0s2"),
+    "syndrome-s1s3": build_syndrome_step("s1s3"),
+    "syndrome-s4s5@0": build_syndrome_step("s4s5", start_shift=0),
+    "syndrome-s4s5@2": build_syndrome_step("s4s5", start_shift=2),
+    "cycle-0": build_full_cycle(0),
+    "cycle-1": build_full_cycle(1),
+    "transform@0": build_basis_transform(DATA_PARTICLES),
+    "transform@2": build_basis_transform(DATA_PARTICLES, frame=2),
+    "cnot": build_cnot_coin_to_logical(),
+    "cphase": build_cphase(),
+    "gauge-zz": build_gauge_zz_measurement(),
+    "gauge-xx": build_gauge_xx_measurement(),
+    "logical-H": build_logical_clifford("H"),
+    "logical-S": build_logical_clifford("S"),
+    "logical-Z": build_logical_clifford("Z"),
+    "inverse-transform@2": inverted(build_basis_transform(DATA_PARTICLES, frame=2)),
+    "inverse-cnot": inverted(build_cnot_coin_to_logical()),
+    "inverse-cphase": inverted(build_cphase()),
+}
+ON_FIVE = [name for name, prog in PROGRAMS.items()
+           if not any(getattr(s, "particle", None) == engine.PEX for s in prog.steps)]
+
+
+class TestFusedEqualsReference:
+    @pytest.mark.parametrize("name", ON_FIVE)
+    def test_five_all_branches(self, name, rng):
+        st = random_state(FIVE, rng)
+        prog = PROGRAMS[name]
+        fused = run_program(st, prog, all_branches=True)
+        assert_same_branches(fused, interpret_program(st, prog, all_branches=True))
+
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    def test_six_seeded(self, name, rng):
+        st = random_state(SIX, rng)
+        prog = PROGRAMS[name]
+        fused = run_program(st, prog, rng=np.random.default_rng(5))
+        reference = interpret_program(st, prog, rng=np.random.default_rng(5))
+        assert_same_branches(fused, reference)
+
+    def test_branches_in_outcome_order(self):
+        st = codec.encoded_session(0.8, 0.6j).state
+        branches = run_program(st, build_gauge_xx_measurement(), all_branches=True)
+        assert [(b.outcomes["gxx:p1"], b.outcomes["gxx:p3"]) for b in branches] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_input_state_is_not_modified(self, rng):
+        st = random_state(SIX, rng)
+        before = st.amps.copy()
+        run_program(st, build_cphase())
+        assert np.array_equal(st.amps, before)
+
+    @pytest.mark.parametrize("family", ["coin", "shift"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_errors_injected_at_cycle_start(self, family, parity, rng):
+        for target in DATA_PARTICLES:
+            ses = encoded_random(rng)
+            spec = errors.sample_random_error(rng, family, target)
+            inject = {"cycle-start": lambda s: errors.inject(s, spec)}
+            prog = build_full_cycle(parity)
+            fused = run_program(ses.state, prog, all_branches=True, injections=inject)
+            reference = interpret_program(ses.state, prog, all_branches=True,
+                                          injections=inject)
+            assert len(fused) > 1
+            assert_same_branches(fused, reference)
+
+
+class TestCache:
+    def test_equal_programs_share_one_entry(self):
+        def middle():
+            data_x = CoinSpec.uniform(DATA_PARTICLES, COIN_X)
+            return WalkProgram("middle", tuple(programs._walk_iterations(data_x, 8, True)))
+
+        first, second = middle(), middle()
+        assert first.steps[0].spec is not second.steps[0].spec
+        before = programs._compiled.cache_info()
+        segs = compile_program(first, SIX)
+        assert compile_program(second, SIX) is segs
+        after = programs._compiled.cache_info()
+        assert after.currsize - before.currsize <= 1
+        assert after.misses - before.misses <= 1
+
+    def test_middle_block_check_compiles_once(self):
+        verify.check_middle_block()
+        before = programs._compiled.cache_info()
+        verify.check_middle_block()
+        assert programs._compiled.cache_info().misses == before.misses
+
+    def test_permutation_tables_shared_by_content(self):
+        def perms(program):
+            return [s for s in compile_program(program, FIVE)
+                    if isinstance(s, SignedPermutation)]
+
+        even, odd = perms(build_full_cycle(0)), perms(build_full_cycle(1))
+        # the s0s2 and s1s3 blocks swap places; s4s5's transforms differ by frame
+        assert even[0] is odd[1] and even[1] is odd[0]
+        assert even[2] is odd[2]
+
+    def test_cache_is_bounded(self):
+        lay1 = engine.Layout(1, False)
+        limit = programs._compiled.cache_info().maxsize
+        for k in range(limit + 5):
+            u = np.diag([1.0, np.exp(1j * (k + 1) / 100)])
+            compile_program(WalkProgram("phase", (LocalCoin.of(0, u),)), lay1)
+        assert programs._compiled.cache_info().currsize <= limit
+
+    def test_unknown_step_is_rejected(self):
+        with pytest.raises(TypeError):
+            compile_program(WalkProgram("bad", (InjectionPoint("x"), "shift")), FIVE)

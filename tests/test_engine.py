@@ -134,6 +134,17 @@ class TestNeighbor:
         out2 = apply_neighbor(st2)
         assert np.vdot(st2.amps, out2.amps).real == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("layout", [Layout(2, False), FIVE, SIX])
+    def test_parity_matches_digit_formula(self, layout):
+        idx = np.arange(layout.dim)
+        b = {p: (idx >> (3 * layout.slot(p))) & 7 for p in layout.particles}
+        count = sum((b[i] == b[j]).astype(int) for i, j in layout.nested_pairs())
+        if layout.with_external:
+            for coin in (0, 4):
+                count = count + ((b[PEX] == coin + 2) & (b[4] == coin + 0))
+                count = count + ((b[PEX] == coin + 3) & (b[4] == coin + 1))
+        assert np.array_equal(engine.neighbor_parity(layout), count % 2 == 1)
+
     def test_involution(self, rng):
         st = random_state(FIVE, rng)
         out = apply_neighbor(apply_neighbor(st))
@@ -210,6 +221,27 @@ class TestEveryWalkerSlot:
         want = apply_particle_unitary(st, particle, u8)
         assert np.max(np.abs(apply_coin(st, spec).amps - want.amps)) < 1e-12
 
+    def test_walker_map_kernel(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        u8, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        coin = np.kron(errors._haar_2x2(rng), np.eye(4))
+        want = apply_particle_unitary(apply_particle_unitary(st, particle, u8), particle, coin)
+        got, scratch = st.copy(), np.empty_like(st.amps)
+        arrays = {id(got.amps), id(scratch)}
+        spare = engine.apply_walker_maps(got, [(particle, u8), (particle, coin)], scratch)
+        assert {id(got.amps), id(spare)} == arrays
+        assert np.max(np.abs(got.amps - want.amps)) < 1e-12
+
+    def test_vertex_conditioned_coin_as_walker_map(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        spec = CoinSpec()
+        for label in engine.VERTEX_LABELS:
+            spec.set(particle, label, errors._haar_2x2(rng))
+        (p, u8), = spec.walker_maps().items()
+        assert p == particle
+        got = apply_particle_unitary(st, particle, u8)
+        assert np.max(np.abs(apply_coin(st, spec).amps - got.amps)) < 1e-12
+
     def test_local_coin(self, layout, particle, rng):
         st = random_state(layout, rng)
         u = errors._haar_2x2(rng)
@@ -241,6 +273,24 @@ class TestEveryWalkerSlot:
                 want, p, engine.pauli_word_matrix(from_triples({p: triple}), p))
         got = apply_pauli_word(st, word)
         assert np.max(np.abs(got.amps - word.phase * want.amps)) < 1e-12
+
+
+class TestSignedPermutation:
+    def test_gather_and_negate(self, rng):
+        st = random_state(FIVE, rng)
+        gather = rng.permutation(FIVE.dim).astype(np.int32)
+        negate = rng.random(FIVE.dim) < 0.5
+        want = np.where(negate, -st.amps[gather], st.amps[gather])
+        got = st.copy()
+        engine.apply_signed_permutation(got, gather, negate, np.empty_like(st.amps))
+        assert np.array_equal(got.amps, want)
+
+    def test_shift_map_is_the_shift(self, rng):
+        st = random_state(FIVE, rng)
+        want = apply_shift(st)
+        for p in FIVE.particles:
+            st = apply_particle_unitary(st, p, engine.SHIFT_MAP)
+        assert np.max(np.abs(st.amps - want.amps)) < 1e-12
 
 
 class TestMeasurement:
