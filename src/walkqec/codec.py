@@ -315,6 +315,12 @@ def encode(session: Session, alpha: complex, beta: complex, *,
 
 
 def inject_error(session: Session, spec) -> Session:
+    """Apply an error spec to the session's state and record it.
+
+    The error acts in the lab frame, whatever the session's
+    ``displacement``.  At displacement 2 a lab-frame coin X on a walker
+    equals its home-frame (Xc Xx Xy), which has syndrome 000000.
+    """
     session.state = errors.inject(session.state, spec)
     session.injected.append(errors.to_json(spec))
     return session

@@ -5,13 +5,14 @@ Each walker lives on its own square with vertices labelled 00, 10, 11, 01
 b = 4c + 2x + y, and the global index packs walkers with P0 least
 significant; the external walker, when present, is most significant.
 
-Compiled programs run on two kernels, each one pass over the array into
-a scratch buffer: ``apply_walker_maps`` (an 8x8 map on one walker, a
-matmul over the (above, 8, below) view) and ``apply_signed_permutation``
-(a gather plus a masked negation).  The single-step operations (coin,
-shift, neighbor) remain for the codec and for the per-step reference
-executor; coin, measurement and Pauli-word kernels act on strided views
-of the amplitude array, and the shift is one flat gather.
+Every map on one walker runs on one kernel, ``apply_walker_maps``: an
+8x8 map as a matmul over the (above, 8, below) view, one pass over the
+array into a scratch buffer.  Compiled programs run on it and on
+``apply_signed_permutation`` (a gather plus a masked negation); the
+public coin, local-coin and walker-unitary operations are thin wrappers
+over it.  The shift is one flat gather and the neighbor interaction one
+masked negation, each a single pass per step.  Measurement and
+Pauli-word kernels act on strided views of the amplitude array.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ ATOL = 1e-12
 VERTEX_LABELS = ("00", "10", "11", "01")
 V_OF_LABEL = {"00": 0, "10": 2, "11": 3, "01": 1}
 LABEL_OF_V = {v: k for k, v in V_OF_LABEL.items()}
-CLOCKWISE = (0, 2, 3, 1)
 V_SUCC = {0: 2, 2: 3, 3: 1, 1: 0}  # one clockwise step
 
 # Per-walker shift permutation on b = 4c + v: coin 1 advances clockwise.
@@ -148,12 +148,6 @@ def neighbor_parity(layout: Layout) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _neighbor_diag(layout: Layout) -> np.ndarray:
-    """Diagonal of the neighbor interaction: -1 per matching adjacent pair."""
-    return np.where(neighbor_parity(layout), -1.0, 1.0)
-
-
-@lru_cache(maxsize=8)
 def _shift_gather_flat(layout: Layout) -> np.ndarray:
     """Flat gather indices applying the global shift in one pass."""
     idx = np.arange(layout.dim, dtype=np.int64)
@@ -184,13 +178,6 @@ class StateVector:
     def check_norm(self, atol: float = ATOL) -> None:
         if abs(self.norm() - 1.0) > atol:
             raise ValueError(f"state norm deviates from 1 by {abs(self.norm()-1.0):.3e}")
-
-    def axis(self, particle: int) -> int:
-        # numpy axes run most-significant first
-        return self.layout.num_particles - 1 - self.layout.slot(particle)
-
-    def view(self) -> np.ndarray:
-        return self.amps.reshape((8,) * self.layout.num_particles)
 
     def coin_view(self, particle: int) -> np.ndarray:
         """Writable (above, coin, vertex, below) view around one walker."""
@@ -253,9 +240,6 @@ class CoinSpec:
                 spec.set(p, label, u)
         return spec
 
-    def items(self):
-        return self.entries.items()
-
     def walker_maps(self) -> dict:
         """The update as one 8x8 map per touched walker."""
         maps: dict = {}
@@ -285,20 +269,9 @@ def _coin_name(u: np.ndarray) -> str:
     return "U"
 
 
-def _coin_inplace(state: StateVector, particle: int, vertex: int | slice,
-                  u: np.ndarray) -> None:
-    """2x2 coin update at one vertex v, or at every vertex for slice(None)."""
-    w = state.coin_view(particle)
-    a0, a1 = w[:, 0, vertex], w[:, 1, vertex]
-    w[:, 0, vertex], w[:, 1, vertex] = u[0, 0] * a0 + u[0, 1] * a1, u[1, 0] * a0 + u[1, 1] * a1
-
-
 def apply_coin(state: StateVector, spec: CoinSpec, inplace: bool = False) -> StateVector:
     """Apply the vertex-conditioned coin update to every walker."""
-    out = state if inplace else state.copy()
-    for (particle, v), u in spec.entries.items():
-        _coin_inplace(out, particle, v, u)
-    return out
+    return _apply_maps(state, spec.walker_maps().items(), inplace)
 
 
 def apply_local_coin(state: StateVector, particle: int, u: np.ndarray,
@@ -307,9 +280,7 @@ def apply_local_coin(state: StateVector, particle: int, u: np.ndarray,
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("local coin operator must be unitary")
-    out = state if inplace else state.copy()
-    _coin_inplace(out, particle, slice(None), u)
-    return out
+    return _apply_maps(state, [(particle, np.kron(u, np.eye(4)))], inplace)
 
 
 def apply_shift(state: StateVector, inplace: bool = False) -> StateVector:
@@ -323,11 +294,9 @@ def apply_shift(state: StateVector, inplace: bool = False) -> StateVector:
 
 def apply_neighbor(state: StateVector, inplace: bool = False) -> StateVector:
     """Phase -1 on components where adjacent walkers match (coin and vertex)."""
-    diag = _neighbor_diag(state.layout)
-    if inplace:
-        state.amps *= diag
-        return state
-    return StateVector(state.layout, state.amps * diag)
+    out = state if inplace else state.copy()
+    np.negative(out.amps, out=out.amps, where=neighbor_parity(state.layout))
+    return out
 
 
 def apply_particle_unitary(state: StateVector, particle: int, u8: np.ndarray,
@@ -336,15 +305,26 @@ def apply_particle_unitary(state: StateVector, particle: int, u8: np.ndarray,
     u8 = np.asarray(u8, dtype=complex)
     if u8.shape != (8, 8) or not is_unitary(u8):
         raise ValueError("walker operator must be an 8x8 unitary")
-    ax = state.axis(particle)
-    view = state.view()
-    moved = np.moveaxis(view, ax, 0)
-    new = np.tensordot(u8, moved, axes=([1], [0]))
-    amps = np.moveaxis(new, 0, ax).reshape(-1)
-    if inplace:
-        state.amps[:] = amps
-        return state
-    return StateVector(state.layout, amps)
+    return _apply_maps(state, [(particle, u8)], inplace)
+
+
+def _apply_maps(state: StateVector, maps, inplace: bool) -> StateVector:
+    """(particle, u8) maps through ``apply_walker_maps``, one pass each.
+
+    The first pass reads the input array and writes a new one, so the
+    input is left as it was unless ``inplace``; then its array serves as
+    the scratch buffer.  With no map the result still gets its own array.
+    """
+    src = state.amps
+    out = state if inplace else StateVector(state.layout, src)
+    scratch = np.empty_like(src)
+    for m in maps:
+        scratch = apply_walker_maps(out, (m,), scratch)
+        if scratch is src and not inplace:
+            scratch = np.empty_like(src)
+    if out.amps is src and not inplace:
+        out.amps = src.copy()
+    return out
 
 
 def apply_walker_maps(state: StateVector, maps, scratch: np.ndarray) -> np.ndarray:
@@ -482,15 +462,6 @@ def measure_coin(state: StateVector, particle: int, *,
         raise ValueError("measure_coin needs an rng, a forced outcome, or both_branches=True")
     bit = int(rng.random() < p1)
     return bit, _collapse_coin(state, particle, bit, probs[bit]), probs[bit]
-
-
-def position_distribution(state: StateVector, particle: int) -> np.ndarray:
-    """Marginal probability over the four vertices (indexed by v)."""
-    ax = state.axis(particle)
-    view = np.abs(state.view()) ** 2
-    axes = tuple(i for i in range(view.ndim) if i != ax)
-    per_b = view.sum(axis=axes)
-    return per_b[:4] + per_b[4:]
 
 
 def pauli_word_matrix(word: PauliWord, particle: int) -> np.ndarray:

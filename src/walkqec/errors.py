@@ -99,7 +99,11 @@ def realize(spec: ErrorSpec) -> np.ndarray:
 
 
 def inject(state: StateVector, spec: ErrorSpec) -> StateVector:
-    """Apply the realized error to the spec's target walker."""
+    """Apply the realized error to the spec's target walker.
+
+    The 8x8 map acts in the lab frame, on the walker's (coin, vertex)
+    factor as it stands, whatever shift offset the walkers carry.
+    """
     return engine.apply_particle_unitary(state, spec.target, realize(spec))
 
 

@@ -116,11 +116,6 @@ class PauliWord:
     def times_i(self, k: int = 1) -> "PauliWord":
         return PauliWord((self.phase_pow + k) % 4, self.ops)
 
-    def restricted_to(self, particles: Iterable[int]) -> "PauliWord":
-        keep = set(particles)
-        items = tuple(item for item in self.ops if item[0].particle in keep)
-        return PauliWord(self.phase_pow, items)
-
     def render(self) -> str:
         """Canonical text form: phase, then per-walker (c x y) triples.
 

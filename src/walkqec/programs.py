@@ -98,17 +98,8 @@ class WalkProgram:
     name: str
     steps: tuple
 
-    def __add__(self, other: "WalkProgram") -> "WalkProgram":
-        return WalkProgram(f"{self.name}+{other.name}", self.steps + other.steps)
-
-    def renamed(self, name: str) -> "WalkProgram":
-        return WalkProgram(name, self.steps)
-
     def has_measurements(self) -> bool:
         return any(isinstance(s, MeasureCoin) for s in self.steps)
-
-    def measurement_tags(self) -> list:
-        return [s.tag for s in self.steps if isinstance(s, MeasureCoin)]
 
     def iteration_count(self) -> int:
         """Number of Coin/Shift(/Neighbor) walk iterations, counted by Shift steps."""
@@ -311,6 +302,9 @@ def _digit_permutation(by_slot: dict, slots: range) -> tuple:
 
 # -------------------------------------------------------------- executors
 
+BRANCH_TOL = 1e-12   # branches of at most this probability are dropped
+
+
 @dataclass
 class _Policy:
     """Measurement policy and injections of one run; executes barrier steps."""
@@ -319,7 +313,6 @@ class _Policy:
     forced: Optional[dict] = None
     all_branches: bool = False
     injections: Optional[dict] = None
-    branch_tol: float = 1e-12
 
     def barrier(self, step, branches: list) -> list:
         if isinstance(step, MeasureCoin):
@@ -342,45 +335,36 @@ class _Policy:
         children = []
         while parents:
             br = parents.pop(0)
-            if self.all_branches:
-                results = engine.measure_coin(br.state, step.particle,
-                                              both_branches=True, tol=self.branch_tol)
-            elif self.forced is not None and step.tag in self.forced:
-                results = [engine.measure_coin(br.state, step.particle,
-                                               forced=self.forced[step.tag])]
-            else:
-                if self.rng is None:
-                    raise ValueError(
-                        f"no measurement policy for tag {step.tag!r}: "
-                        "pass rng, forced outcomes, or all_branches=True")
-                results = [engine.measure_coin(br.state, step.particle, rng=self.rng)]
-            for bit, post, prob in results:
+            results = engine.measure_coin(br.state, step.particle, rng=self.rng,
+                                          forced=(self.forced or {}).get(step.tag),
+                                          both_branches=self.all_branches, tol=BRANCH_TOL)
+            for bit, post, prob in results if self.all_branches else [results]:
                 nb = Branch(post, br.probability * prob, dict(br.outcomes), dict(br.last_bit))
                 nb.outcomes[step.tag] = bit
                 nb.last_bit[step.particle] = bit
                 children.append(nb)
-        return [b for b in children if b.probability > self.branch_tol]
+        return [b for b in children if b.probability > BRANCH_TOL]
 
 
 def run_program(state: StateVector, program: WalkProgram, *,
                 rng: Optional[np.random.Generator] = None,
                 forced: Optional[dict] = None,
                 all_branches: bool = False,
-                injections: Optional[dict] = None,
-                branch_tol: float = 1e-12) -> list:
+                injections: Optional[dict] = None) -> list:
     """Execute a program, returning the list of surviving branches.
 
     Measurement policy is one of: seeded (``rng``), ``forced`` (tag ->
-    bit), or ``all_branches`` (branch summing; zero-probability branches
-    are pruned).  ``injections`` maps an InjectionPoint tag to a callable
-    state -> state, the only sanctioned way to disturb a managed run.
+    bit), or ``all_branches`` (branch summing; branches of probability
+    at most ``BRANCH_TOL`` are pruned).  ``injections`` maps an
+    InjectionPoint tag to a callable state -> state, the only sanctioned
+    way to disturb a managed run.
     The program runs compiled (see ``compile_program``).  Between two
     barriers every array segment writes one scratch buffer, which the
     branches pass along; it is dropped at each barrier, so it is not
     held while measurements multiply the branches.
     """
     segments = compile_program(program, state.layout)
-    policy = _Policy(rng, forced, all_branches, injections, branch_tol)
+    policy = _Policy(rng, forced, all_branches, injections)
     branches = [Branch(state.copy())]
     scratch = None
     for seg in segments:

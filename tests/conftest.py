@@ -29,3 +29,20 @@ def random_state(layout, rng):
     amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
     amps /= np.linalg.norm(amps)
     return engine.StateVector(layout, amps)
+
+
+def walker_map_reference(state, particle, u8):
+    """An 8x8 map on one walker as a tensordot over the (8,) * n view,
+    independent of the engine's walker-map kernel."""
+    ax = state.layout.num_particles - 1 - state.layout.slot(particle)  # most significant first
+    moved = np.moveaxis(state.amps.reshape((8,) * state.layout.num_particles), ax, 0)
+    new = np.tensordot(u8, moved, axes=([1], [0]))
+    return engine.StateVector(state.layout, np.moveaxis(new, 0, ax).reshape(-1))
+
+
+def position_distribution(state, particle):
+    """Marginal probability over a walker's four vertices (indexed by v)."""
+    ax = state.layout.num_particles - 1 - state.layout.slot(particle)
+    probs = np.abs(state.amps.reshape((8,) * state.layout.num_particles)) ** 2
+    per_b = probs.sum(axis=tuple(i for i in range(probs.ndim) if i != ax))
+    return per_b[:4] + per_b[4:]

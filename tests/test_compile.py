@@ -116,6 +116,17 @@ class TestFusedEqualsReference:
         assert [(b.outcomes["gxx:p1"], b.outcomes["gxx:p3"]) for b in branches] == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_forced_outcomes_and_missing_policy(self):
+        st = codec.encoded_session(0.8, 0.6j).state
+        prog = build_gauge_xx_measurement()
+        forced = {"gxx:p1": 1, "gxx:p3": 0}
+        (branch,) = run_program(st, prog, forced=forced)
+        assert branch.outcomes == forced
+        with pytest.raises(ValueError):
+            run_program(st, prog)
+        with pytest.raises(ValueError):
+            run_program(st, prog, forced={"gxx:p1": 1})
+
     def test_input_state_is_not_modified(self, rng):
         st = random_state(SIX, rng)
         before = st.amps.copy()

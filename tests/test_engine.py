@@ -8,12 +8,11 @@ from walkqec.engine import (COIN_H, COIN_HP, COIN_I, COIN_S, COIN_T, COIN_X,
                             COIN_Z, CoinSpec, Layout, all_at_origin,
                             apply_coin, apply_neighbor, apply_particle_unitary,
                             apply_pauli_word, apply_shift, expectation,
-                            fidelity, init_state, measure_coin,
-                            position_distribution, project_pauli)
+                            fidelity, init_state, measure_coin, project_pauli)
 from walkqec.pauli import (LOGICAL_X, LOGICAL_Z, PEX, PauliWord, STABILIZERS,
                            from_triples)
 
-from conftest import random_state
+from conftest import position_distribution, random_state, walker_map_reference
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
@@ -209,7 +208,11 @@ EVERY_WALKER = [(FIVE, p) for p in FIVE.particles] + [(SIX, p) for p in SIX.part
                          ids=[f"{'SIX' if lay.with_external else 'FIVE'}-P{p}"
                               for lay, p in EVERY_WALKER])
 class TestEveryWalkerSlot:
-    """Coin, measurement and word kernels against 8x8 walker maps, slot by slot."""
+    """Coin, measurement and word kernels against 8x8 walker maps, slot by slot.
+
+    The reference is ``walker_map_reference``, a tensordot that does not
+    run the engine's walker-map kernel.
+    """
 
     def test_vertex_conditioned_coin(self, layout, particle, rng):
         st = random_state(layout, rng)
@@ -218,14 +221,14 @@ class TestEveryWalkerSlot:
             u, v = errors._haar_2x2(rng), engine.V_OF_LABEL[label]
             spec.set(particle, label, u)
             u8[np.ix_([v, 4 + v], [v, 4 + v])] = u
-        want = apply_particle_unitary(st, particle, u8)
+        want = walker_map_reference(st, particle, u8)
         assert np.max(np.abs(apply_coin(st, spec).amps - want.amps)) < 1e-12
 
     def test_walker_map_kernel(self, layout, particle, rng):
         st = random_state(layout, rng)
         u8, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         coin = np.kron(errors._haar_2x2(rng), np.eye(4))
-        want = apply_particle_unitary(apply_particle_unitary(st, particle, u8), particle, coin)
+        want = walker_map_reference(walker_map_reference(st, particle, u8), particle, coin)
         got, scratch = st.copy(), np.empty_like(st.amps)
         arrays = {id(got.amps), id(scratch)}
         spare = engine.apply_walker_maps(got, [(particle, u8), (particle, coin)], scratch)
@@ -239,20 +242,20 @@ class TestEveryWalkerSlot:
             spec.set(particle, label, errors._haar_2x2(rng))
         (p, u8), = spec.walker_maps().items()
         assert p == particle
-        got = apply_particle_unitary(st, particle, u8)
+        got = walker_map_reference(st, particle, u8)
         assert np.max(np.abs(apply_coin(st, spec).amps - got.amps)) < 1e-12
 
     def test_local_coin(self, layout, particle, rng):
         st = random_state(layout, rng)
         u = errors._haar_2x2(rng)
-        want = apply_particle_unitary(st, particle, np.kron(u, np.eye(4)))
+        want = walker_map_reference(st, particle, np.kron(u, np.eye(4)))
         got = engine.apply_local_coin(st, particle, u)
         assert np.max(np.abs(got.amps - want.amps)) < 1e-12
 
     def test_measure_coin_both_branches(self, layout, particle, rng):
         st = random_state(layout, rng)
         # P_bit = (1 + (-1)^bit Zc) / 2 with Zc = kron(Z, I4)
-        zc = apply_particle_unitary(st, particle, np.kron(COIN_Z, np.eye(4)))
+        zc = walker_map_reference(st, particle, np.kron(COIN_Z, np.eye(4)))
         branches = measure_coin(st, particle, both_branches=True)
         assert [bit for bit, _, _ in branches] == [0, 1]
         for bit, post, prob in branches:
@@ -269,10 +272,43 @@ class TestEveryWalkerSlot:
         word = from_triples(triples, phase_pow=3)
         want = st
         for p, triple in triples.items():
-            want = apply_particle_unitary(
+            want = walker_map_reference(
                 want, p, engine.pauli_word_matrix(from_triples({p: triple}), p))
         got = apply_pauli_word(st, word)
         assert np.max(np.abs(got.amps - word.phase * want.amps)) < 1e-12
+
+    @staticmethod
+    def wrapper_calls(layout, particle, rng) -> dict:
+        """Each wrapper over the walker-map kernel as (state, inplace) -> state."""
+        spec = CoinSpec().set(particle, "10", errors._haar_2x2(rng))
+        for p in layout.particles:   # one pass per walker, so the scratch swaps often
+            spec.set(p, "00", errors._haar_2x2(rng))
+        u = errors._haar_2x2(rng)
+        u8, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        return {
+            "coin": lambda s, inplace: apply_coin(s, spec, inplace=inplace),
+            "empty coin": lambda s, inplace: apply_coin(s, CoinSpec(), inplace=inplace),
+            "local coin": lambda s, inplace: engine.apply_local_coin(
+                s, particle, u, inplace=inplace),
+            "walker unitary": lambda s, inplace: apply_particle_unitary(
+                s, particle, u8, inplace=inplace),
+        }
+
+    def test_wrappers_leave_their_input_alone(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        amps, before = st.amps, st.amps.tobytes()
+        for name, call in self.wrapper_calls(layout, particle, rng).items():
+            out = call(st, False)
+            assert st.amps is amps and st.amps.tobytes() == before, name
+            assert out is not st and out.amps is not amps, name
+
+    def test_inplace_wrappers_return_their_state(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        for name, call in self.wrapper_calls(layout, particle, rng).items():
+            want = call(st, False)
+            got = st.copy()
+            assert call(got, True) is got, name
+            assert np.array_equal(got.amps, want.amps), name
 
 
 class TestSignedPermutation:
@@ -289,7 +325,7 @@ class TestSignedPermutation:
         st = random_state(FIVE, rng)
         want = apply_shift(st)
         for p in FIVE.particles:
-            st = apply_particle_unitary(st, p, engine.SHIFT_MAP)
+            st = walker_map_reference(st, p, engine.SHIFT_MAP)
         assert np.max(np.abs(st.amps - want.amps)) < 1e-12
 
 

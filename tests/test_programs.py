@@ -15,7 +15,7 @@ from walkqec.programs import (Coin, MeasureCoin, Neighbor, Shift, WalkProgram,
                               build_logical_clifford, build_syndrome_step,
                               inverted, run_program, run_unitary)
 
-from conftest import random_state
+from conftest import position_distribution, random_state
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
@@ -103,8 +103,8 @@ class TestBasisTransform:
             after = np.zeros(4)
             for k in cols:
                 st = StateVector(lay1, vecs[:, k].astype(complex))
-                before += engine.position_distribution(st, 0) / len(cols)
-                after += engine.position_distribution(run_unitary(st, prog), 0) / len(cols)
+                before += position_distribution(st, 0) / len(cols)
+                after += position_distribution(run_unitary(st, prog), 0) / len(cols)
             assert np.max(np.abs(before - 0.25)) < 1e-12
             assert np.max(np.abs(after - before)) < 1e-12
 
@@ -146,7 +146,7 @@ class TestSyndromeSteps:
         for step in prog.steps:
             if isinstance(step, MeasureCoin):
                 for br in branches:
-                    dist = engine.position_distribution(br.state, step.particle)
+                    dist = position_distribution(br.state, step.particle)
                     assert dist[engine.V_OF_LABEL["00"]] == pytest.approx(1.0, abs=1e-12)
             branches = programs.run_program(
                 branches[0].state, WalkProgram("one", (step,)),
