@@ -107,6 +107,39 @@ class LogicalReadout:
         return self.bloch[2]
 
 
+PARKED_TOL = 1e-12    # weight allowed outside the data slice at readout
+_DATA_LAYOUT = Layout(len(pauli.DATA_PARTICLES), False)
+
+
+def _data_slice(state: StateVector) -> StateVector:
+    """The 512 amplitudes with every non-data walker at b = 0 (coin 0,
+    vertex 00), as a state of three walkers P0, P2, P4 in slots 0, 1, 2.
+
+    Raises ValueError when more than ``PARKED_TOL`` of the state's weight
+    lies outside the slice, i.e. an ancilla or the external walker is
+    not parked.
+    """
+    layout = state.layout
+    by_axis = sorted(layout.particles, key=layout.slot, reverse=True)  # most significant first
+    index = tuple(slice(None) if p in pauli.DATA_PARTICLES else 0 for p in by_axis)
+    vec = state.amps.reshape((8,) * layout.num_particles)[index].reshape(-1)
+    outside = float(np.vdot(state.amps, state.amps).real - np.vdot(vec, vec).real)
+    if outside > PARKED_TOL:
+        raise ValueError(f"non-data walkers are not parked: weight {outside:.3e} "
+                         "lies outside the data slice")
+    return StateVector(_DATA_LAYOUT, vec)
+
+
+def _on_data_walkers(word: PauliWord) -> PauliWord:
+    """A data-walker word re-indexed to the slice's walkers 0, 1, 2."""
+    ops = []
+    for qubit, letter in word.ops:
+        if qubit.particle not in pauli.DATA_PARTICLES:
+            raise ValueError(f"readout word {word.render()} acts outside the data walkers")
+        ops.append((pauli.q(pauli.DATA_PARTICLES.index(qubit.particle), qubit.role), letter))
+    return PauliWord(word.phase_pow, tuple(ops))
+
+
 class AxisFrame:
     """Three Bloch axes as real combinations of Pauli words."""
 
@@ -195,11 +228,14 @@ class AxisFrame:
             self.axes[name] = [(c, PauliWord(0, ops)) for ops, c in acc.items() if abs(c) > tol]
 
     def readout(self, state: StateVector, frame: PauliFrame) -> LogicalReadout:
+        """Frame-signed axis values, evaluated on the data walkers' slice."""
+        data = _data_slice(state)
         vals = []
         for name in ("x", "y", "z"):
             total = 0.0
             for coef, word in self.axes[name]:
-                total += coef * frame.sign_for(word) * engine.expectation(state, word)
+                total += (coef * frame.sign_for(word)
+                          * engine.expectation(data, _on_data_walkers(word)))
             vals.append(float(total))
         return LogicalReadout(tuple(vals))
 
@@ -299,17 +335,18 @@ def encode(session: Session, alpha: complex, beta: complex, *,
     u = np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], dtype=complex)
     state = engine.apply_local_coin(session.state, PEX, u)
     state = programs.run_unitary(state, programs.build_cnot_coin_to_logical())
-    state = engine.apply_local_coin(state, PEX, COIN_H)
+    # From here on the state is this call's own array.
+    engine.apply_local_coin(state, PEX, COIN_H, inplace=True)
     if forced_outcome is not None:
-        bit, state, _ = engine.measure_coin(state, PEX, forced=forced_outcome)
+        bit, state, _ = engine.measure_coin(state, PEX, forced=forced_outcome, inplace=True)
     elif session.rng is not None:
-        bit, state, _ = engine.measure_coin(state, PEX, rng=session.rng)
+        bit, state, _ = engine.measure_coin(state, PEX, rng=session.rng, inplace=True)
     else:
-        bit, state, _ = engine.measure_coin(state, PEX, forced=0)
+        bit, state, _ = engine.measure_coin(state, PEX, forced=0, inplace=True)
     if bit:
-        state = engine.apply_local_coin(state, PEX, COIN_X)  # re-park
-        state = engine.apply_coin(
-            state, engine.CoinSpec.uniform(pauli.DATA_PARTICLES, COIN_Z))
+        engine.apply_local_coin(state, PEX, COIN_X, inplace=True)  # re-park
+        engine.apply_coin(state, engine.CoinSpec.uniform(pauli.DATA_PARTICLES, COIN_Z),
+                          inplace=True)
     session.state = state
     return session
 
@@ -505,7 +542,7 @@ def logical_T(session: Session) -> Session:
     cphase = programs.build_cphase()
     t_coin = np.diag(np.exp([-1j * T_THETA, 1j * T_THETA]))
     state = programs.run_unitary(session.state, cphase)
-    state = engine.apply_local_coin(state, PEX, t_coin)
+    engine.apply_local_coin(state, PEX, t_coin, inplace=True)   # a fresh array
     state = programs.run_unitary(state, cphase)
     session.state = state
     session.axes.conjugate_t_rotation(T_AXIS, T_THETA)

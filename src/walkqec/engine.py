@@ -8,11 +8,16 @@ significant; the external walker, when present, is most significant.
 Every map on one walker runs on one kernel, ``apply_walker_maps``: an
 8x8 map as a matmul over the (above, 8, below) view, one pass over the
 array into a scratch buffer.  Compiled programs run on it and on
-``apply_signed_permutation`` (a gather plus a masked negation); the
-public coin, local-coin and walker-unitary operations are thin wrappers
-over it.  The shift is one flat gather and the neighbor interaction one
-masked negation, each a single pass per step.  Measurement and
-Pauli-word kernels act on strided views of the amplitude array.
+``apply_signed_permutation`` (a gather times an int8 sign); the public
+coin, local-coin and walker-unitary operations are thin wrappers over
+it.  The shift is one flat gather and the neighbor interaction one
+masked negation, each a single pass per step.
+
+Measurement and Pauli-word kernels act on strided views of the
+amplitude array.  ``measure_coin(inplace=True)`` collapses into the
+input's array, dividing only the kept coin half; ``flip_coin`` is an
+exact coin X that swaps the two coin halves in place.  Pauli-word
+factors are cached per (layout, word) with read-only sign tensors.
 """
 
 from __future__ import annotations
@@ -345,26 +350,28 @@ def apply_walker_maps(state: StateVector, maps, scratch: np.ndarray) -> np.ndarr
     return scratch
 
 
-def apply_signed_permutation(state: StateVector, gather: np.ndarray, negate: np.ndarray,
+def apply_signed_permutation(state: StateVector, gather: np.ndarray, sign: np.ndarray,
                              scratch: np.ndarray) -> np.ndarray:
-    """new[i] = -old[gather[i]] where ``negate[i]``, else old[gather[i]].
+    """new[i] = sign[i] * old[gather[i]], with ``sign`` an int8 array of +/-1.
 
     Writes ``scratch`` and swaps it with ``state.amps`` like
     ``apply_walker_maps``.  ``mode="clip"`` lets ``np.take`` write into
     ``out`` directly; the default mode would buffer a full copy.
     """
     np.take(state.amps, gather, out=scratch, mode="clip")
-    np.negative(scratch, out=scratch, where=negate)
+    np.multiply(scratch, sign, out=scratch)
     state.amps, scratch = scratch, state.amps
     return scratch
 
 
+@lru_cache(maxsize=256)
 def _word_factors(layout: Layout, word: PauliWord) -> tuple:
     """(flipped axes, sign tensor) of a Pauli word over the (2,) * 3n bit view.
 
     Bit axes run most-significant first.  The sign tensor carries the
     word's phase and, per Z axis, a factor of -1 where the source bit is
     set; on an axis X also flips, the source bit is the complement.
+    Cached, so the sign tensor is read-only.
     """
     n_bits = 3 * layout.num_particles
     flips, zs = set(), set()
@@ -382,6 +389,7 @@ def _word_factors(layout: Layout, word: PauliWord) -> tuple:
     for axis in zs:
         factor = np.array([-1.0, 1.0] if axis in flips else [1.0, -1.0])
         sign = sign * factor.reshape(tuple(2 if k == axis else 1 for k in range(n_bits)))
+    sign.flags.writeable = False
     return tuple(sorted(flips)), sign
 
 
@@ -428,13 +436,33 @@ def project_pauli(state: StateVector, word: PauliWord, sign: int,
 
 
 def coin_one_probability(state: StateVector, particle: int) -> float:
-    a = state.coin_view(particle)[:, 1]
+    """Weight of a walker's coin-1 half.
+
+    ``np.vdot`` flattens each operand, so the strided half is flattened
+    once here (a copy unless the walker is the most significant) and
+    passed twice.  A copy-free sum of squares is no faster inside a
+    trial and rounds differently, which a small branch's 1 - p1 amplifies.
+    """
+    a = state.coin_view(particle)[:, 1].reshape(-1)
     return float(np.real(np.vdot(a, a)))
 
 
-def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float) -> StateVector:
-    out = StateVector(state.layout, state.amps / np.sqrt(prob))
-    out.coin_view(particle)[:, 1 - outcome] = 0.0
+def flip_coin(state: StateVector, particle: int) -> StateVector:
+    """Exact coin X on one walker, in place: its two coin halves swap."""
+    view = state.coin_view(particle)
+    held = view[:, 0].copy()
+    view[:, 0] = view[:, 1]
+    view[:, 1] = held
+    return state
+
+
+def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float,
+                   out: StateVector) -> StateVector:
+    """Write the post-measurement state into ``out``, which may be ``state``:
+    the kept coin half divided by sqrt(prob), the other half zeroed."""
+    src, dst = state.coin_view(particle), out.coin_view(particle)
+    np.divide(src[:, outcome], np.sqrt(prob), out=dst[:, outcome])
+    dst[:, 1 - outcome] = 0.0
     return out
 
 
@@ -442,26 +470,35 @@ def measure_coin(state: StateVector, particle: int, *,
                  rng: Optional[np.random.Generator] = None,
                  forced: Optional[int] = None,
                  both_branches: bool = False,
-                 tol: float = 1e-12):
+                 tol: float = 1e-12,
+                 inplace: bool = False):
     """Projective Z-basis measurement of a walker's coin.
 
     Policies: seeded random (pass ``rng``), forced outcome, or both
     branches.  Both-branches returns [(bit, state, probability), ...] with
     zero-probability branches dropped; the others return a single triple.
+    With ``inplace`` the last outcome's state is ``state`` itself, and
+    when two survive the first gets a new array; otherwise every outcome
+    gets a new array and ``state`` is left as it was.
     """
     p1 = coin_one_probability(state, particle)
     probs = {0: 1.0 - p1, 1: p1}
     if both_branches:
-        return [(b, _collapse_coin(state, particle, b, probs[b]), probs[b])
-                for b in (0, 1) if probs[b] > tol]
-    if forced is not None:
+        bits = [b for b in (0, 1) if probs[b] > tol]
+    elif forced is not None:
         if probs[forced] < tol:
             raise ValueError(f"forced outcome {forced} has probability {probs[forced]:.3e}")
-        return forced, _collapse_coin(state, particle, forced, probs[forced]), probs[forced]
-    if rng is None:
+        bits = [forced]
+    elif rng is None:
         raise ValueError("measure_coin needs an rng, a forced outcome, or both_branches=True")
-    bit = int(rng.random() < p1)
-    return bit, _collapse_coin(state, particle, bit, probs[bit]), probs[bit]
+    else:
+        bits = [int(rng.random() < p1)]
+    results = []
+    for k, b in enumerate(bits):
+        owns = inplace and k == len(bits) - 1
+        out = state if owns else StateVector(state.layout, np.empty_like(state.amps))
+        results.append((b, _collapse_coin(state, particle, b, probs[b], out), probs[b]))
+    return results if both_branches else results[0]
 
 
 def pauli_word_matrix(word: PauliWord, particle: int) -> np.ndarray:

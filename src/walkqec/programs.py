@@ -11,7 +11,9 @@ ResetAncilla and InjectionPoint are barriers.  Between them, each
 walker's Coin, LocalCoin and Shift steps fold into one 8x8 map; maps
 that are signed permutations fold, with the Neighbor steps, into one
 gather table, and the others are applied as walker maps.  A syndrome
-cycle of 101 steps runs as 10 array segments.  ``interpret_program``
+cycle of 101 steps runs as 10 array segments.  At the barriers,
+measurements collapse each branch in place and a reset is an in-place
+swap of the ancilla's coin halves.  ``interpret_program``
 runs the steps one at a time and is the reference the tests compare
 against; ``listing()`` and the step counts describe the source program.
 """
@@ -136,13 +138,13 @@ class WalkerMaps:
 
 @dataclass(frozen=True, eq=False)
 class SignedPermutation:
-    """new[i] = +/- old[gather[i]], the sign negative where ``negate[i]``."""
+    """new[i] = sign[i] * old[gather[i]], ``sign`` an int8 array of +/-1."""
 
     gather: np.ndarray
-    negate: np.ndarray
+    sign: np.ndarray
 
     def apply(self, state: StateVector, scratch: np.ndarray) -> np.ndarray:
-        return engine.apply_signed_permutation(state, self.gather, self.negate, scratch)
+        return engine.apply_signed_permutation(state, self.gather, self.sign, scratch)
 
 
 _BARRIERS = (MeasureCoin, ResetAncilla, InjectionPoint)
@@ -286,7 +288,7 @@ def _signed_permutation(layout: Layout, ops: tuple) -> SignedPermutation:
             flips = np.multiply.outer(upper_sign, lower_sign) < 0
         np.negative(probe, out=probe, where=flips)
     probe = probe.reshape(-1)
-    return SignedPermutation(np.abs(probe) - 1, probe < 0)
+    return SignedPermutation(np.abs(probe) - 1, np.sign(probe).astype(np.int8))
 
 
 def _digit_permutation(by_slot: dict, slots: range) -> tuple:
@@ -320,7 +322,7 @@ class _Policy:
         if isinstance(step, ResetAncilla):
             for br in branches:
                 if br.last_bit.get(step.particle, 0):
-                    engine.apply_local_coin(br.state, step.particle, COIN_X, inplace=True)
+                    engine.flip_coin(br.state, step.particle)
         elif isinstance(step, InjectionPoint):
             if self.injections and step.tag in self.injections:
                 for br in branches:
@@ -331,13 +333,14 @@ class _Policy:
 
     def _measure(self, step: MeasureCoin, parents: list) -> list:
         """Children of every parent, in order.  Each parent is taken off
-        ``parents`` once its children exist, so its array can be freed."""
+        ``parents`` and collapsed in place: its last child takes its array."""
         children = []
         while parents:
             br = parents.pop(0)
             results = engine.measure_coin(br.state, step.particle, rng=self.rng,
                                           forced=(self.forced or {}).get(step.tag),
-                                          both_branches=self.all_branches, tol=BRANCH_TOL)
+                                          both_branches=self.all_branches, tol=BRANCH_TOL,
+                                          inplace=True)
             for bit, post, prob in results if self.all_branches else [results]:
                 nb = Branch(post, br.probability * prob, dict(br.outcomes), dict(br.last_bit))
                 nb.outcomes[step.tag] = bit
@@ -361,7 +364,9 @@ def run_program(state: StateVector, program: WalkProgram, *,
     The program runs compiled (see ``compile_program``).  Between two
     barriers every array segment writes one scratch buffer, which the
     branches pass along; it is dropped at each barrier, so it is not
-    held while measurements multiply the branches.
+    held while measurements multiply the branches.  The input is copied
+    once, so every branch array belongs to the run: measurements collapse
+    in place and resets swap coin halves in place.
     """
     segments = compile_program(program, state.layout)
     policy = _Policy(rng, forced, all_branches, injections)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -73,6 +74,21 @@ class TestErrorSweep:
             assert code == 0
             files.append(path.read_text())
         assert files[0] == files[1]
+
+    def test_matches_golden_file(self, capsys, tmp_path):
+        """72 branch-summed trials: coin and shift errors on P0, P2 and P4."""
+        path = tmp_path / "sweep.csv"
+        code, _ = run_cli(capsys, "--seed", "5", "--out", str(path), "error-sweep",
+                          "--trials", "12")
+        assert code == 0
+        golden = pathlib.Path(__file__).parent / "data" / "error_sweep_seed5_trials12.csv"
+        want = list(csv.DictReader(io.StringIO(golden.read_text())))
+        got = list(csv.DictReader(io.StringIO(path.read_text())))
+        assert len(got) == len(want) == 72
+        for g, w in zip(got, want):
+            assert [g[k] for k in ("trial", "family", "target", "syndrome")] == \
+                [w[k] for k in ("trial", "family", "target", "syndrome")]
+            assert abs(float(g["fidelity"]) - float(w["fidelity"])) <= 1e-12
 
     def test_monte_carlo_mode(self, capsys):
         code, out = run_cli(capsys, "--seed", "3", "error-sweep", "--trials", "2",

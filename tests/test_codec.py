@@ -115,6 +115,65 @@ class TestEncode:
             assert all(not np.shares_memory(a.state.amps, b.state.amps)
                        for b in branches if b is not a)
 
+    def test_encode_and_t_leave_an_aliased_input_alone(self, zero_session_six):
+        for ses, run in ((zero_session_six.clone(),
+                          lambda s: encode(s, 0.8, 0.6j, forced_outcome=1)),
+                         (encoded_session(0.8, 0.6j, layout=SIX), logical_T)):
+            held, twin = ses.state, ses.clone()
+            run(ses)
+            assert ses.state is not held
+            assert np.array_equal(held.amps, twin.state.amps)
+
+
+class TestDataSliceReadout:
+    """``logical_readout`` on the 512-amplitude data slice against the
+    axis words' expectations on the whole state."""
+
+    @staticmethod
+    def assert_matches_full_array(ses):
+        got = logical_readout(ses).bloch   # aligns the session first
+        for value, name in zip(got, "xyz"):
+            want = sum(coef * ses.frame.sign_for(word) * engine.expectation(ses.state, word)
+                       for coef, word in ses.axes.axes[name])
+            assert abs(value - want) <= 1e-15
+
+    @pytest.mark.parametrize("family", ["coin", "shift"])
+    def test_five_after_cycles_of_both_parities(self, family):
+        for target in (0, 2, 4):
+            rng = np.random.default_rng([31, target])
+            ses = encoded_session(*_random_amps(rng), rng=rng)
+            for parity in (0, 1):
+                inject_error(ses, errors.sample_random_error(rng, family, target))
+                run_cycle(ses)
+                assert ses.history.cycles[-1].parity == parity
+                update_frame(ses)
+                self.assert_matches_full_array(ses.clone())   # the clone aligns, not ses
+
+    def test_six_after_gate_words(self):
+        rng = np.random.default_rng(32)
+        for word in ("T", "H", "H T", "S", "T T H", "H S Z", "H S T", "S T T"):
+            ses = encoded_session(*_random_amps(rng), layout=SIX)
+            apply_word(ses, word)
+            self.assert_matches_full_array(ses)
+
+    def test_flipped_ancilla_raises(self):
+        ses = encoded_session(0.8, 0.6j)
+        engine.flip_coin(ses.state, pauli.P1)
+        with pytest.raises(ValueError, match="not parked"):
+            logical_readout(ses)
+
+    def test_unparked_external_walker_raises(self):
+        ses = encoded_session(0.8, 0.6j, layout=SIX)
+        engine.apply_local_coin(ses.state, pauli.PEX, engine.COIN_H, inplace=True)
+        with pytest.raises(ValueError, match="not parked"):
+            logical_readout(ses)
+
+    def test_word_outside_the_data_walkers_raises(self):
+        ses = encoded_session(0.8, 0.6j)
+        ses.axes.axes["x"] = [(1.0, PauliWord.single(pauli.P1, "c", "Z"))]
+        with pytest.raises(ValueError, match="outside the data walkers"):
+            logical_readout(ses)
+
 
 class TestCycles:
     def test_undisturbed_all_zero_m(self):

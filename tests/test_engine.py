@@ -264,6 +264,40 @@ class TestEveryWalkerSlot:
             assert abs(prob - want) < 1e-12
             assert np.max(np.abs(post.amps - projected / np.sqrt(want))) < 1e-12
 
+    def test_coin_one_probability(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        half = st.coin_view(particle)[:, 1]
+        want = np.vdot(half, half).real
+        assert abs(engine.coin_one_probability(st, particle) - want) <= 1e-15 * want
+
+    def test_measure_coin_in_place(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        before = st.amps.tobytes()
+        policies = {"rng": lambda: {"rng": np.random.default_rng(3)},
+                    "forced": lambda: {"forced": 1},
+                    "both": lambda: {"both_branches": True}}
+        for name, policy in policies.items():
+            want = measure_coin(st, particle, **policy())
+            assert st.amps.tobytes() == before, name
+            mine = st.copy()
+            got = measure_coin(mine, particle, inplace=True, **policy())
+            if name != "both":
+                want, got = [want], [got]
+            assert len(got) == len(want) == (2 if name == "both" else 1), name
+            assert got[-1][1] is mine, name
+            if len(got) == 2:
+                assert not np.shares_memory(got[0][1].amps, mine.amps), name
+            for (wb, ws, wp), (gb, gs, gp) in zip(want, got):
+                assert (gb, gp) == (wb, wp), name
+                assert gs.amps.tobytes() == ws.amps.tobytes(), name
+
+    def test_flip_coin_is_coin_x(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        want = engine.apply_local_coin(st, particle, COIN_X)
+        got = st.copy()
+        assert engine.flip_coin(got, particle) is got
+        assert got.amps.tobytes() == want.amps.tobytes()
+
     def test_pauli_word_with_phase(self, layout, particle, rng):
         st = random_state(layout, rng)
         # one Y in the word, so a sign read from the wrong bit flips the result
@@ -316,9 +350,10 @@ class TestSignedPermutation:
         st = random_state(FIVE, rng)
         gather = rng.permutation(FIVE.dim).astype(np.int32)
         negate = rng.random(FIVE.dim) < 0.5
+        sign = np.where(negate, -1, 1).astype(np.int8)
         want = np.where(negate, -st.amps[gather], st.amps[gather])
         got = st.copy()
-        engine.apply_signed_permutation(got, gather, negate, np.empty_like(st.amps))
+        engine.apply_signed_permutation(got, gather, sign, np.empty_like(st.amps))
         assert np.array_equal(got.amps, want)
 
     def test_shift_map_is_the_shift(self, rng):
