@@ -4,6 +4,9 @@ A Session owns one simulation run: the quantum state, the syndrome
 history (reference eigenvalues plus per-cycle flip records), the Pauli
 correction frame accumulated from decoding, and the logical axis frame.
 
+Every walk it runs, from encoding to the T gate, is one program from
+``programs`` run by ``programs.run_program``; the codec keeps the records.
+
 The axis frame is the Heisenberg-side bookkeeping for logical gates.
 Each axis is a real combination of Pauli words whose expectation yields
 one Bloch component.  Applying a gate conjugates the axes by the walk
@@ -15,15 +18,17 @@ exactly if and only if the walk implements the gate on the code algebra
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import engine, errors, pauli, programs
-from .engine import COIN_H, COIN_X, COIN_Z, Layout, StateVector
+from .engine import Layout, StateVector
 from .pauli import (LOGICAL_X, LOGICAL_Y, LOGICAL_Z, PEX, PauliWord,
                     STABILIZERS, commutes, decode_lookup, pw_mul)
+from .programs import T_THETA
 
 SIX = engine.SIX
 FIVE = engine.FIVE
@@ -34,7 +39,6 @@ FIVE = engine.FIVE
 # by the detectable two-coin factor K = -(Yc)_P2 (Yc)_P0.
 T_AXIS = PauliWord.from_letters(
     {pauli.q(4, "c"): "Z", pauli.q(4, "x"): "X", pauli.q(4, "y"): "X"})
-T_THETA = np.pi / 8
 
 
 @dataclass
@@ -322,10 +326,10 @@ def encode(session: Session, alpha: complex, beta: complex, *,
            forced_outcome: Optional[int] = None) -> Session:
     """Write (alpha, beta) from the external coin into the logical qubit.
 
-    Three stages: the coin-to-logical CNOT walk, a Hadamard on the
-    external coin, then measuring that coin and applying the transversal
-    logical Z on outcome 1.  Either branch yields the same encoded state;
-    the external walker is re-parked at coin 0, vertex 00 afterwards.
+    The input coin, then the encode program (CNOT walk, H on the external
+    coin, measuring and re-parking it), then on outcome 1 the logical Z.
+    Either outcome (``forced_outcome``, else drawn by the session's rng,
+    else 0) yields the same encoded state.
     """
     if not session.layout.with_external:
         raise ValueError("encoding requires the external walker")
@@ -334,20 +338,12 @@ def encode(session: Session, alpha: complex, beta: complex, *,
     session.align()
     u = np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], dtype=complex)
     state = engine.apply_local_coin(session.state, PEX, u)
-    state = programs.run_unitary(state, programs.build_cnot_coin_to_logical())
-    # From here on the state is this call's own array.
-    engine.apply_local_coin(state, PEX, COIN_H, inplace=True)
-    if forced_outcome is not None:
-        bit, state, _ = engine.measure_coin(state, PEX, forced=forced_outcome, inplace=True)
-    elif session.rng is not None:
-        bit, state, _ = engine.measure_coin(state, PEX, rng=session.rng, inplace=True)
-    else:
-        bit, state, _ = engine.measure_coin(state, PEX, forced=0, inplace=True)
-    if bit:
-        engine.apply_local_coin(state, PEX, COIN_X, inplace=True)  # re-park
-        engine.apply_coin(state, engine.CoinSpec.uniform(pauli.DATA_PARTICLES, COIN_Z),
-                          inplace=True)
-    session.state = state
+    fixed = forced_outcome is not None or session.rng is None
+    (branch,) = programs.run_program(state, programs.build_encode(), rng=session.rng,
+                                     forced={"encode": forced_outcome or 0} if fixed else None)
+    if branch.outcomes["encode"]:
+        branch.state = programs.run_unitary(branch.state, programs.build_logical_clifford("Z"))
+    session.state = branch.state
     return session
 
 
@@ -476,7 +472,7 @@ def apply_frame_physically(session: Session) -> Session:
 
 def measure_g(session: Session, *, forced: Optional[dict] = None,
               all_branches: bool = False):
-    """The End-Matter gauge read: ZZ walk, XX walk, product with s4.
+    """The End-Matter gauge read: ZZ walk, XX walk (one program), product with s4.
 
     Returns (sign, session) or branch list [(prob, sign, session)].  The
     product is repeatable run to run, but it is a read of the two
@@ -487,21 +483,14 @@ def measure_g(session: Session, *, forced: Optional[dict] = None,
         raise ValueError("measure_g needs a completed syndrome cycle for the s4 eigenvalue")
     session.align()
     e4 = session.history.current_eigenvalue(4)
-
-    def stage(state, prog):
-        return programs.run_program(state, prog, rng=session.rng, forced=forced,
-                                    all_branches=all_branches)
-
+    branches = programs.run_program(session.state, programs.build_gauge_measurement(),
+                                    rng=session.rng, forced=forced, all_branches=all_branches)
     results = []
-    zz = programs.build_gauge_zz_measurement()
-    xx = programs.build_gauge_xx_measurement()
-    for b1 in stage(session.state, zz):
-        v = (1 - 2 * b1.outcomes["gzz:p1"]) * (1 - 2 * b1.outcomes["gzz:p3"])
-        for b2 in stage(b1.state, xx):
-            w = (1 - 2 * b2.outcomes["gxx:p1"]) * (1 - 2 * b2.outcomes["gxx:p3"])
-            target = session if not all_branches else session._around(b2.state)
-            target.state = b2.state
-            results.append((b1.probability * b2.probability, e4 * v * w, target))
+    for br in branches:
+        sign = e4 * math.prod(1 - 2 * bit for bit in br.outcomes.values())  # the 4 reads
+        target = session if not all_branches else session._around(br.state)
+        target.state = br.state
+        results.append((br.probability, sign, target))
     if all_branches:
         return results
     _, sign, target = results[0]
@@ -528,23 +517,12 @@ def apply_logical_gate(session: Session, gate: str) -> Session:
 
 
 def logical_T(session: Session) -> Session:
-    """The pi/8 gate via the external walker.
-
-    The coin phase exp(-i pi/8 Zc) on the parked external walker is
-    enclosed by the two CPhase walks.  Because the CPhase squares to the
-    identity and conjugates Zc_pex into Zc_pex x D, the three blocks
-    compose to exp(-i pi/8 Zc_pex x D); with the external coin parked at
-    |0> the data walkers see exactly exp(-i pi/8 D).
-    """
+    """The pi/8 gate via the external walker: one run of
+    ``programs.build_logical_t``, exp(-i pi/8 D) on the data walkers."""
     if not session.layout.with_external:
         raise ValueError("the T gate requires the external walker")
     session.align()
-    cphase = programs.build_cphase()
-    t_coin = np.diag(np.exp([-1j * T_THETA, 1j * T_THETA]))
-    state = programs.run_unitary(session.state, cphase)
-    engine.apply_local_coin(state, PEX, t_coin, inplace=True)   # a fresh array
-    state = programs.run_unitary(state, cphase)
-    session.state = state
+    session.state = programs.run_unitary(session.state, programs.build_logical_t())
     session.axes.conjugate_t_rotation(T_AXIS, T_THETA)
     return session
 

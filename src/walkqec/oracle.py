@@ -8,12 +8,12 @@ way around.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .engine import Layout, StateVector
-from .pauli import (DATA_PARTICLES, GZ0, GZ1, LOGICAL_Z, PauliWord, STABILIZERS, q)
+from .pauli import GZ0, GZ1, LOGICAL_Z, PauliWord, STABILIZERS, q
 from .programs import WalkProgram, run_unitary
 
 _P1Q = {
@@ -79,41 +79,31 @@ def codespace_basis(signs: Sequence[int]) -> dict:
     return out
 
 
-def data_indices(layout: Layout, rest: Optional[Mapping[int, int]] = None) -> np.ndarray:
-    """Flat indices with non-data walkers pinned to given basis values.
-
-    ``rest`` maps walker -> packed b value (default 0: coin 0 at vertex
-    00).  The result is ordered by the packed data index d."""
-    rest = dict(rest or {})
-    others = [p for p in layout.particles if p not in DATA_PARTICLES]
-    base = 0
-    for p in others:
-        base |= (rest.get(p, 0) & 7) << (3 * layout.slot(p))
+def data_indices(layout: Layout) -> np.ndarray:
+    """Flat indices with every non-data walker at b = 0 (coin 0, vertex
+    00), ordered by the packed data index d."""
     d = np.arange(512, dtype=np.int64)
     b0, b2, b4 = d & 7, (d >> 3) & 7, (d >> 6) & 7
-    return (base
-            | (b0 << (3 * layout.slot(0)))
+    return ((b0 << (3 * layout.slot(0)))
             | (b2 << (3 * layout.slot(2)))
             | (b4 << (3 * layout.slot(4))))
 
 
-def embed_data_vector(layout: Layout, vec: np.ndarray,
-                      rest: Optional[Mapping[int, int]] = None) -> StateVector:
+def embed_data_vector(layout: Layout, vec: np.ndarray) -> StateVector:
     """Lift a 512-dim data-space vector into a full layout state, with the
-    remaining walkers in fixed basis states (default coin 0, vertex 00)."""
+    remaining walkers at coin 0, vertex 00."""
     if vec.shape != (512,):
         raise ValueError("data vector must have dimension 512")
     amps = np.zeros(layout.dim, dtype=complex)
-    amps[data_indices(layout, rest)] = vec
+    amps[data_indices(layout)] = vec
     return StateVector(layout, amps)
 
 
-def extract_data_vector(state: StateVector,
-                        rest: Optional[Mapping[int, int]] = None,
-                        require: float = 1 - 1e-9) -> np.ndarray:
-    """Project a full state onto fixed non-data walker values and return
-    the 512-dim data vector.  Raises if too much weight lies elsewhere."""
-    vec = state.amps[data_indices(state.layout, rest)]
+def extract_data_vector(state: StateVector, require: float = 1 - 1e-9) -> np.ndarray:
+    """Project a full state onto the non-data walkers at coin 0, vertex 00
+    and return the 512-dim data vector.  Raises if too much weight lies
+    elsewhere."""
+    vec = state.amps[data_indices(state.layout)]
     weight = float(np.vdot(vec, vec).real)
     if weight < require:
         raise ValueError(f"only {weight:.6f} of the state has the walkers at the pinned values")
@@ -148,19 +138,14 @@ def basis_matrix(program: WalkProgram, layout: Layout, flats: Sequence[int]) -> 
     return np.array(cols, dtype=complex).T
 
 
-def program_matrix_on_particle(program: WalkProgram, layout: Layout, particle: int,
-                               rest: Optional[Mapping[int, int]] = None) -> np.ndarray:
-    """8x8 matrix of a program restricted to one walker, all others pinned.
+def program_matrix_on_particle(program: WalkProgram, layout: Layout,
+                               particle: int) -> np.ndarray:
+    """8x8 matrix of a program restricted to one walker, all others at
+    coin 0, vertex 00.
 
     Only meaningful when the program acts trivially on the pinned walkers
     (checked by unitarity of the result)."""
-    rest = dict(rest or {})
-    pinned = 0
-    for p in layout.particles:
-        if p != particle:
-            pinned |= (rest.get(p, 0) & 7) << (3 * layout.slot(p))
-    return basis_matrix(program, layout,
-                        [pinned | (b << (3 * layout.slot(particle))) for b in range(8)])
+    return basis_matrix(program, layout, [b << (3 * layout.slot(particle)) for b in range(8)])
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:

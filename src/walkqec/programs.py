@@ -11,11 +11,12 @@ ResetAncilla and InjectionPoint are barriers.  Between them, each
 walker's Coin, LocalCoin and Shift steps fold into one 8x8 map; maps
 that are signed permutations fold, with the Neighbor steps, into one
 gather table, and the others are applied as walker maps.  A syndrome
-cycle of 101 steps runs as 10 array segments.  At the barriers,
-measurements collapse each branch in place and a reset is an in-place
-swap of the ancilla's coin halves.  ``interpret_program``
-runs the steps one at a time and is the reference the tests compare
-against; ``listing()`` and the step counts describe the source program.
+cycle of 101 steps runs as 10 array segments, a T gate as 5.  At the
+barriers, measurements collapse each branch in place and a reset is an
+in-place swap of the ancilla's coin halves.  Every walk the codec runs
+is built here.  ``interpret_program`` runs the steps one at a time and
+is the reference the tests compare against; ``listing()`` and the step
+counts describe the source program.
 """
 
 from __future__ import annotations
@@ -304,7 +305,7 @@ def _digit_permutation(by_slot: dict, slots: range) -> tuple:
 
 # -------------------------------------------------------------- executors
 
-BRANCH_TOL = 1e-12   # branches of at most this probability are dropped
+BRANCH_TOL = 1e-12   # branch summing drops branches of at most this probability
 
 
 @dataclass
@@ -346,7 +347,7 @@ class _Policy:
                 nb.outcomes[step.tag] = bit
                 nb.last_bit[step.particle] = bit
                 children.append(nb)
-        return [b for b in children if b.probability > BRANCH_TOL]
+        return [b for b in children if not self.all_branches or b.probability > BRANCH_TOL]
 
 
 def run_program(state: StateVector, program: WalkProgram, *,
@@ -622,6 +623,14 @@ def build_cphase() -> WalkProgram:
 
 
 @lru_cache(maxsize=None)
+def build_encode() -> WalkProgram:
+    """The encoder after the input coin: the CNOT, then H on the external
+    coin, its measurement ("encode") and its re-parking at coin 0."""
+    steps = (LocalCoin.of(PEX, COIN_H, "H"), MeasureCoin(PEX, "encode"), ResetAncilla(PEX))
+    return WalkProgram("encode", build_cnot_coin_to_logical().steps + steps)
+
+
+@lru_cache(maxsize=None)
 def build_gauge_zz_measurement() -> WalkProgram:
     """Read the Z-type gauge product via a pre/post shift and six iterations.
 
@@ -648,6 +657,13 @@ def build_gauge_xx_measurement() -> WalkProgram:
     return WalkProgram("gauge-xx", tuple(steps))
 
 
+@lru_cache(maxsize=None)
+def build_gauge_measurement() -> WalkProgram:
+    """The ZZ gauge read, then the XX one: tags gzz:p1/p3 and gxx:p1/p3."""
+    steps = build_gauge_zz_measurement().steps + build_gauge_xx_measurement().steps
+    return WalkProgram("gauge", steps)
+
+
 LOGICAL_COIN_OPS = {
     "H": COIN_H,
     "S": COIN_Z @ COIN_S,
@@ -663,3 +679,15 @@ def build_logical_clifford(gate: str) -> WalkProgram:
         raise ValueError(f"unknown logical coin gate {gate!r}; pick from H, S, Z")
     spec = CoinSpec.uniform(DATA_PARTICLES, u)
     return WalkProgram(f"logical[{gate}]", (Coin(spec),))
+
+
+T_THETA = np.pi / 8   # the T gate's external coin phase exp(-i T_THETA Zc)
+
+
+@lru_cache(maxsize=None)
+def build_logical_t() -> WalkProgram:
+    """The coin phase on the parked external walker between two CPhase
+    walks.  The CPhase squares to 1 and conjugates Zc_pex into Zc_pex x D,
+    so this is exp(-i pi/8 Zc_pex x D): exp(-i pi/8 D) on the data."""
+    t_coin = LocalCoin.of(PEX, np.diag(np.exp([-1j * T_THETA, 1j * T_THETA])), "T")
+    return WalkProgram("logical[T]", build_cphase().steps + (t_coin,) + build_cphase().steps)

@@ -131,7 +131,7 @@ def check_transform() -> dict:
 
 def _cnot_basis() -> list:
     """|0>_L, |1>_L and both with the external coin flipped, on SIX."""
-    zero = codec.prepare_logical_zero(engine.SIX).state
+    zero = codec._prepared_zero(engine.SIX).state
     one = engine.apply_pauli_word(zero, pauli.LOGICAL_X)
     flip = pauli.PauliWord.single(pauli.PEX, "c", "X")
     return [zero, one,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from walkqec import codec, engine, errors, pauli
+from walkqec import codec, engine, errors, pauli, programs
 from walkqec.codec import (PauliFrame, apply_frame_physically,
                            apply_logical_gate, apply_word, bloch_fidelity, drop_external,
                            encode, encoded_session, ideal_bloch_map, inject_error,
@@ -351,6 +351,35 @@ class TestMeasureG:
             s2.state, _ = engine.project_pauli(s2.state, CRITERIA_G, gsign)
             for p, sign, s3 in measure_g(s2, all_branches=True):
                 assert engine.expectation(s3.state, CRITERIA_G) == pytest.approx(gsign, abs=1e-10)
+
+    @staticmethod
+    def _chained(ses, **policy):
+        """(probability, sign, outcomes) of the ZZ read, then the XX read
+        on each of its branches, as two separate program runs."""
+        ses.align()
+        e4 = ses.history.current_eigenvalue(4)
+        out = []
+        for b1 in programs.run_program(ses.state, programs.build_gauge_zz_measurement(),
+                                       **policy):
+            for b2 in programs.run_program(b1.state, programs.build_gauge_xx_measurement(),
+                                           **policy):
+                bits = {**b1.outcomes, **b2.outcomes}
+                sign = e4 * int(np.prod([1 - 2 * b for b in bits.values()]))
+                out.append((b1.probability * b2.probability, sign, bits))
+        return out
+
+    def test_one_program_equals_two_chained_reads(self):
+        ses = self._cycled()
+        want = self._chained(ses.clone(), all_branches=True)
+        got = measure_g(ses.clone(), all_branches=True)
+        assert len(got) == len(want) == 4
+        assert [sign for _, sign, _ in got] == [sign for _, sign, _ in want]
+        assert np.allclose([p for p, _, _ in got], [p for p, _, _ in want], rtol=0, atol=1e-12)
+        for _, _, bits in want:
+            (p_ref, sign_ref, _), = self._chained(ses.clone(), forced=bits)
+            sign, _ = measure_g(ses.clone(), forced=bits)
+            assert sign == sign_ref
+            assert p_ref == pytest.approx(0.25, abs=1e-12)
 
     def test_zz_reads_are_stabilizer_products(self):
         ses = self._cycled()

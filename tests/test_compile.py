@@ -6,13 +6,14 @@ import pytest
 
 from walkqec import codec, engine, errors, programs, verify
 from walkqec.engine import COIN_X, CoinSpec
-from walkqec.pauli import DATA_PARTICLES
-from walkqec.programs import (InjectionPoint, LocalCoin, SignedPermutation, WalkProgram,
-                              WalkerMaps, build_basis_transform, build_cnot_coin_to_logical,
-                              build_cphase, build_full_cycle, build_gauge_xx_measurement,
-                              build_gauge_zz_measurement, build_logical_clifford,
-                              build_syndrome_step, compile_program, interpret_program,
-                              inverted, run_program)
+from walkqec.pauli import DATA_PARTICLES, P1, P3
+from walkqec.programs import (InjectionPoint, LocalCoin, MeasureCoin, SignedPermutation,
+                              WalkProgram, WalkerMaps, build_basis_transform,
+                              build_cnot_coin_to_logical, build_cphase, build_encode,
+                              build_full_cycle, build_gauge_measurement,
+                              build_gauge_xx_measurement, build_gauge_zz_measurement,
+                              build_logical_clifford, build_logical_t, build_syndrome_step,
+                              compile_program, interpret_program, inverted, run_program)
 
 from conftest import random_state
 
@@ -53,6 +54,11 @@ class TestShapes:
     def test_cnot(self):
         assert shape(build_cnot_coin_to_logical(), SIX) == ["mapsP4", "perm", "mapsP4"]
 
+    def test_logical_t(self):
+        # the T coin and both inner CPhase brackets fold into the middle maps
+        maps = "maps" + "".join(f"P{p}" for p in (0, 2, 4, engine.PEX))
+        assert shape(build_logical_t(), SIX) == [maps, "perm", maps, "perm", maps]
+
     @pytest.mark.parametrize("parity", [0, 1])
     def test_cycle_has_ten_array_segments(self, parity):
         segs = compile_program(build_full_cycle(parity), FIVE)
@@ -83,6 +89,9 @@ PROGRAMS = {
     "cphase": build_cphase(),
     "gauge-zz": build_gauge_zz_measurement(),
     "gauge-xx": build_gauge_xx_measurement(),
+    "gauge": build_gauge_measurement(),
+    "encode": build_encode(),
+    "logical-T": build_logical_t(),
     "logical-H": build_logical_clifford("H"),
     "logical-S": build_logical_clifford("S"),
     "logical-Z": build_logical_clifford("Z"),
@@ -146,6 +155,37 @@ class TestFusedEqualsReference:
                                           injections=inject)
             assert len(fused) > 1
             assert_same_branches(fused, reference)
+
+
+class TestBranchPruning:
+    """A seeded or forced run keeps its branch however small; only branch
+    summing prunes."""
+
+    @staticmethod
+    def rare_state():
+        # P1 and P3 coins each read 1 with probability 1e-7
+        theta = 2 * np.arcsin(np.sqrt(1e-7))
+        ry = np.array([[np.cos(theta / 2), -np.sin(theta / 2)],
+                       [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
+        st = engine.all_at_origin(FIVE)
+        for p in (P1, P3):
+            st = engine.apply_local_coin(st, p, ry)
+        return st
+
+    PROG = WalkProgram("rare", (MeasureCoin(P1, "a"), MeasureCoin(P3, "b")))
+
+    @pytest.mark.parametrize("executor", [run_program, interpret_program])
+    def test_forced_run_keeps_its_only_branch(self, executor):
+        (branch,) = executor(self.rare_state(), self.PROG, forced={"a": 1, "b": 1})
+        assert branch.outcomes == {"a": 1, "b": 1}
+        assert branch.probability == pytest.approx(1e-14, rel=1e-6)
+        assert branch.state.norm() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("executor", [run_program, interpret_program])
+    def test_branch_summing_prunes_it(self, executor):
+        branches = executor(self.rare_state(), self.PROG, all_branches=True)
+        assert [(b.outcomes["a"], b.outcomes["b"]) for b in branches] == [
+            (0, 0), (0, 1), (1, 0)]
 
 
 class TestCache:
