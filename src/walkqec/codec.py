@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -98,44 +99,13 @@ class PauliFrame:
 class LogicalReadout:
     bloch: tuple
 
-    @property
-    def x(self):
-        return self.bloch[0]
 
-    @property
-    def y(self):
-        return self.bloch[1]
-
-    @property
-    def z(self):
-        return self.bloch[2]
-
-
-PARKED_TOL = 1e-12    # weight allowed outside the data slice at readout
 _DATA_LAYOUT = Layout(len(pauli.DATA_PARTICLES), False)
 
 
-def _data_slice(state: StateVector) -> StateVector:
-    """The 512 amplitudes with every non-data walker at b = 0 (coin 0,
-    vertex 00), as a state of three walkers P0, P2, P4 in slots 0, 1, 2.
-
-    Raises ValueError when more than ``PARKED_TOL`` of the state's weight
-    lies outside the slice, i.e. an ancilla or the external walker is
-    not parked.
-    """
-    layout = state.layout
-    by_axis = sorted(layout.particles, key=layout.slot, reverse=True)  # most significant first
-    index = tuple(slice(None) if p in pauli.DATA_PARTICLES else 0 for p in by_axis)
-    vec = state.amps.reshape((8,) * layout.num_particles)[index].reshape(-1)
-    outside = float(np.vdot(state.amps, state.amps).real - np.vdot(vec, vec).real)
-    if outside > PARKED_TOL:
-        raise ValueError(f"non-data walkers are not parked: weight {outside:.3e} "
-                         "lies outside the data slice")
-    return StateVector(_DATA_LAYOUT, vec)
-
-
 def _on_data_walkers(word: PauliWord) -> PauliWord:
-    """A data-walker word re-indexed to the slice's walkers 0, 1, 2."""
+    """A data-walker word re-indexed to walkers 0, 1, 2 of the data
+    walkers' restriction (``engine.restrict`` to ``DATA_PARTICLES``)."""
     ops = []
     for qubit, letter in word.ops:
         if qubit.particle not in pauli.DATA_PARTICLES:
@@ -206,21 +176,14 @@ class AxisFrame:
 
         c, s = np.cos(2 * theta), np.sin(2 * theta)
         x, y = self.axes["x"], self.axes["y"]
-        new_x = self._combine(self._scale(x, c), self._scale(y, -s))
-        new_y = self._combine(self._scale(x, s), self._scale(y, c))
+        new_x = self._scale(x, c) + self._scale(y, -s)
+        new_y = self._scale(x, s) + self._scale(y, c)
         self.axes = {"x": conj(new_x), "y": conj(new_y), "z": conj(self.axes["z"])}
         self._tidy()
 
     @staticmethod
     def _scale(terms, factor):
         return [(coef * factor, word) for coef, word in terms]
-
-    @staticmethod
-    def _combine(*term_lists):
-        out = []
-        for terms in term_lists:
-            out.extend(terms)
-        return out
 
     def _tidy(self, tol: float = 1e-15) -> None:
         for name, terms in self.axes.items():
@@ -232,8 +195,9 @@ class AxisFrame:
             self.axes[name] = [(c, PauliWord(0, ops)) for ops, c in acc.items() if abs(c) > tol]
 
     def readout(self, state: StateVector, frame: PauliFrame) -> LogicalReadout:
-        """Frame-signed axis values, evaluated on the data walkers' slice."""
-        data = _data_slice(state)
+        """Frame-signed axis values, evaluated on the data walkers'
+        restriction; raises if another walker is not parked."""
+        data = engine.restrict(state, pauli.DATA_PARTICLES)
         vals = []
         for name in ("x", "y", "z"):
             total = 0.0
@@ -298,20 +262,36 @@ def prepare_logical_zero(layout: Layout = SIX, *,
     the +1 (or forced) logical-Z eigenspace; record the obtained signs.
 
     The resulting state is the run's |0>_L by definition.  Signs with
-    zero probability (e.g. -1 for s0..s3 from this start) raise.
+    zero probability (e.g. -1 for s0..s3 from this start) raise.  The
+    words act on the data walkers only, so the projections run on their
+    512 amplitudes and the result is extended to ``layout`` once.
     """
-    forced_signs = dict(forced_signs or {})
-    state = engine.all_at_origin(layout)
+    data, refs = _project_zero(rng, dict(forced_signs or {}))
+    return Session(engine.extend(layout, pauli.DATA_PARTICLES, data.amps),
+                   SyndromeHistory(refs), rng)
+
+
+def _project_zero(rng, forced_signs: dict) -> tuple:
+    """|0>_L on the data walkers' layout and its stabilizer signs."""
+    state = engine.all_at_origin(_DATA_LAYOUT)
     refs = []
     for i, s in enumerate(STABILIZERS):
+        word = _on_data_walkers(s)
         sign = forced_signs.get(f"s{i}")
         if sign is None:
-            sign = _sample_sign(state, s, rng)
-        state, _ = engine.project_pauli(state, s, sign)
+            sign = _sample_sign(state, word, rng)
+        state, _ = engine.project_pauli(state, word, sign)
         refs.append(sign)
     zbar_sign = forced_signs.get("zbar", 1)
-    state, _ = engine.project_pauli(state, LOGICAL_Z, zbar_sign)
-    return Session(state, SyndromeHistory(tuple(refs)), rng)
+    state, _ = engine.project_pauli(state, _on_data_walkers(LOGICAL_Z), zbar_sign)
+    return state, tuple(refs)
+
+
+@lru_cache(maxsize=1)
+def _data_zero() -> tuple:
+    """``_project_zero`` without an rng or forced signs, cached: read the
+    state, never modify it."""
+    return _project_zero(None, {})
 
 
 def _sample_sign(state: StateVector, word: PauliWord, rng) -> int:
@@ -360,7 +340,8 @@ def inject_error(session: Session, spec) -> Session:
 
 
 def drop_external(session: Session) -> Session:
-    """Discard the external walker when it is parked at coin 0, vertex 00.
+    """Discard the external walker when it is parked at coin 0, vertex 00;
+    raises (``engine.restrict``) when it is not.
 
     The parked walker never fires the external interaction, so syndrome
     cycles are unaffected; dropping it shrinks the state by 8x.
@@ -369,13 +350,7 @@ def drop_external(session: Session) -> Session:
     if not layout.with_external:
         return session
     session.align()
-    small = Layout(layout.num_nested, False)
-    # PEX is the most significant walker, so its b=0 block is the prefix.
-    vec = session.state.amps[:small.dim].copy()
-    weight = float(np.real(np.vdot(vec, vec)))
-    if abs(weight - 1.0) > 1e-9:
-        raise ValueError(f"external walker is not parked (weight {weight:.6f} in its home block)")
-    session.state = StateVector(small, vec / np.sqrt(weight))
+    session.state = engine.restrict(session.state, range(layout.num_nested))
     return session
 
 
@@ -387,26 +362,15 @@ def encoded_session(alpha: complex, beta: complex, *,
     Identical (exactly) to prepare + encode with the measurement outcome
     forced to 0, since the coin-to-logical walk equals a CNOT; the
     equivalence is pinned by tests.  Used by sweeps to avoid re-running
-    the encoding walk thousands of times.
+    the encoding walk thousands of times.  The superposition is composed
+    on the data walkers' layout and extended to ``layout`` once.
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-10:
         raise ValueError("amplitudes must be normalized")
-    base = _prepared_zero(layout)
-    zero = base.state.amps
-    one = engine.apply_pauli_word(base.state, LOGICAL_X).amps
-    ses = Session(StateVector(layout, alpha * zero + beta * one),
-                  SyndromeHistory(base.history.references), rng)
-    return ses
-
-
-_PREP_CACHE: dict = {}
-
-
-def _prepared_zero(layout: Layout) -> Session:
-    """The cached |0>_L session of a layout; read it, never modify it."""
-    if layout not in _PREP_CACHE:
-        _PREP_CACHE[layout] = prepare_logical_zero(layout)
-    return _PREP_CACHE[layout]
+    zero, refs = _data_zero()
+    one = engine.apply_pauli_word(zero, _on_data_walkers(LOGICAL_X))
+    state = engine.extend(layout, pauli.DATA_PARTICLES, alpha * zero.amps + beta * one.amps)
+    return Session(state, SyndromeHistory(refs), rng)
 
 
 def run_cycle(session: Session, *, forced: Optional[dict] = None,

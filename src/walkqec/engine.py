@@ -18,6 +18,12 @@ amplitude array.  ``measure_coin(inplace=True)`` collapses into the
 input's array, dividing only the kept coin half; ``flip_coin`` is an
 exact coin X that swaps the two coin halves in place.  Pauli-word
 factors are cached per (layout, word) with read-only sign tensors.
+
+A walker is parked at b = 0 (coin 0, vertex 00).  ``restrict`` reads the
+amplitudes with every walker outside a kept set parked, as a smaller
+state, and raises when more than ``PARKED_TOL`` of the weight lies
+elsewhere; ``extend`` is its inverse.  Readout, preparation, dropping
+the external walker and the CPhase operator check all go through the pair.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import numpy as np
 from .pauli import PEX, PauliWord
 
 ATOL = 1e-12
+PARKED_TOL = 1e-12    # weight a restriction may leave outside its slice
 
 # Vertex labels in clockwise order; v = 2x + y.
 VERTEX_LABELS = ("00", "10", "11", "01")
@@ -56,13 +63,6 @@ COIN_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 COIN_HP = (COIN_X - COIN_Z) / np.sqrt(2)  # H' = (X - Z)/sqrt(2)
 COIN_S = np.diag(np.exp([-1j * np.pi / 4, 1j * np.pi / 4]))   # exp(-i pi/4 Z)
 COIN_T = np.diag(np.exp([1j * np.pi / 8, -1j * np.pi / 8]))   # exp(+i pi/8 Z)
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": COIN_X,
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": COIN_Z,
-}
 
 
 def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
@@ -214,6 +214,46 @@ def init_state(layout: Layout, placements: Iterable[tuple]) -> StateVector:
 
 def all_at_origin(layout: Layout) -> StateVector:
     return init_state(layout, [(p, 0, "00") for p in layout.particles])
+
+
+def _parked_index(layout: Layout, keep: Iterable[int]) -> tuple:
+    """Index into the (8,) * n view, most significant walker first, that
+    takes each walker in ``keep`` whole and every other walker at b = 0;
+    and the layout of the kept walkers in slot order."""
+    slots = {layout.slot(p) for p in keep}
+    index = tuple(slice(None) if s in slots else 0
+                  for s in reversed(range(layout.num_particles)))
+    return index, Layout(len(slots), False)
+
+
+def restrict(state: StateVector, keep: Iterable[int]) -> StateVector:
+    """The amplitudes with every walker outside ``keep`` parked (b = 0:
+    coin 0, vertex 00), as a state of ``len(keep)`` walkers in slot order.
+
+    Raises ValueError when more than ``PARKED_TOL`` of the state's weight
+    lies outside that slice.  The result owns its array.
+    """
+    index, small = _parked_index(state.layout, keep)
+    vec = state.amps.reshape((8,) * state.layout.num_particles)[index].copy().reshape(-1)
+    outside = float(np.vdot(state.amps, state.amps).real - np.vdot(vec, vec).real)
+    if outside > PARKED_TOL:
+        raise ValueError(f"walkers outside the kept ones are not parked: weight "
+                         f"{outside:.3e} lies outside their slice")
+    return StateVector(small, vec)
+
+
+def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:
+    """Inverse of ``restrict``: the ``layout`` state holding ``vec`` on the
+    walkers in ``keep`` (in slot order), every other walker parked.
+
+    ``np.full`` writes every page of the array.  Pages of an ``np.zeros``
+    array that are never written stay unmapped, and how much of such an
+    array is resident follows the host's huge-page policy, not the state.
+    """
+    index, small = _parked_index(layout, keep)
+    amps = np.full(layout.dim, 0j)
+    amps.reshape((8,) * layout.num_particles)[index] = vec.reshape((8,) * small.num_particles)
+    return StateVector(layout, amps)
 
 
 class CoinSpec:
@@ -499,15 +539,3 @@ def measure_coin(state: StateVector, particle: int, *,
         out = state if owns else StateVector(state.layout, np.empty_like(state.amps))
         results.append((b, _collapse_coin(state, particle, b, probs[b], out), probs[b]))
     return results if both_branches else results[0]
-
-
-def pauli_word_matrix(word: PauliWord, particle: int) -> np.ndarray:
-    """Dense 8x8 form of a single-walker word (for error templates)."""
-    parts = [qb.particle for qb in word.support()]
-    if any(p != particle for p in parts):
-        raise ValueError("word must be supported on the requested walker")
-    m = np.eye(1, dtype=complex) * word.phase
-    letters = {qb.role: letter for qb, letter in word.ops}
-    for role in ("c", "x", "y"):
-        m = np.kron(m, _PAULI_1Q[letters.get(role, "I")])
-    return m

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import engine
+from . import engine, oracle
 from .engine import StateVector, V_SUCC, is_unitary
-from .pauli import DATA_PARTICLES, PauliWord, ROLES
+from .pauli import DATA_PARTICLES, PauliWord, ROLES, q
 
 ATOL = 1e-12
 
@@ -94,7 +94,7 @@ def realize(spec: ErrorSpec) -> np.ndarray:
             m[4 * j:4 * j + 4, 4 * j:4 * j + 4] = spec.branch_matrix(j)
         return m
     if isinstance(spec, PauliFlip):
-        return engine.pauli_word_matrix(spec.word, spec.target)
+        return oracle.dense_of(spec.word, [q(spec.target, r) for r in ROLES])
     raise TypeError(f"unknown error spec {spec!r}")
 
 

@@ -79,37 +79,6 @@ def codespace_basis(signs: Sequence[int]) -> dict:
     return out
 
 
-def data_indices(layout: Layout) -> np.ndarray:
-    """Flat indices with every non-data walker at b = 0 (coin 0, vertex
-    00), ordered by the packed data index d."""
-    d = np.arange(512, dtype=np.int64)
-    b0, b2, b4 = d & 7, (d >> 3) & 7, (d >> 6) & 7
-    return ((b0 << (3 * layout.slot(0)))
-            | (b2 << (3 * layout.slot(2)))
-            | (b4 << (3 * layout.slot(4))))
-
-
-def embed_data_vector(layout: Layout, vec: np.ndarray) -> StateVector:
-    """Lift a 512-dim data-space vector into a full layout state, with the
-    remaining walkers at coin 0, vertex 00."""
-    if vec.shape != (512,):
-        raise ValueError("data vector must have dimension 512")
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[data_indices(layout)] = vec
-    return StateVector(layout, amps)
-
-
-def extract_data_vector(state: StateVector, require: float = 1 - 1e-9) -> np.ndarray:
-    """Project a full state onto the non-data walkers at coin 0, vertex 00
-    and return the 512-dim data vector.  Raises if too much weight lies
-    elsewhere."""
-    vec = state.amps[data_indices(state.layout)]
-    weight = float(np.vdot(vec, vec).real)
-    if weight < require:
-        raise ValueError(f"only {weight:.6f} of the state has the walkers at the pinned values")
-    return vec
-
-
 def extract_unitary(program: WalkProgram, inputs: Sequence[StateVector],
                     outputs: Sequence[StateVector]) -> np.ndarray:
     """Matrix <out_i | U_program | in_j> for a measurement-free program."""

@@ -131,7 +131,7 @@ def check_transform() -> dict:
 
 def _cnot_basis() -> list:
     """|0>_L, |1>_L and both with the external coin flipped, on SIX."""
-    zero = codec._prepared_zero(engine.SIX).state
+    zero = codec.prepare_logical_zero(engine.SIX).state
     one = engine.apply_pauli_word(zero, pauli.LOGICAL_X)
     flip = pauli.PauliWord.single(pauli.PEX, "c", "X")
     return [zero, one,
@@ -185,11 +185,11 @@ def _cphase_matrix_deviation(cphase, basis: list) -> float:
 def _cphase_operator_deviation(cphase, v: np.ndarray, sign: int) -> float:
     """1 - fidelity of the program against the exact operator form
     |+><+| I + |-><-| (Zc Xx Xy)_P4 on data vector ``v`` in one sector."""
-    di = oracle.data_indices(engine.SIX)
-    amps = np.zeros(engine.SIX.dim, dtype=complex)
-    amps[di] = v / np.sqrt(2)
-    amps[di ^ (1 << (3 * engine.SIX.slot(pauli.PEX) + 2))] = sign * v / np.sqrt(2)
-    st = engine.StateVector(engine.SIX, amps)
+    # PEX is the top digit of the (P0, P2, P4, PEX) restriction; b = 4 is coin 1 at vertex 00
+    vec = np.zeros(8 * v.size, dtype=complex)
+    vec[:v.size] = v / np.sqrt(2)
+    vec[4 * v.size:5 * v.size] = sign * v / np.sqrt(2)
+    st = engine.extend(engine.SIX, pauli.DATA_PARTICLES + (pauli.PEX,), vec)
     outw = programs.run_unitary(st, cphase)
     if sign < 0:
         st = engine.apply_pauli_word(st, pauli.conjugate_transversal(pauli.LOGICAL_X, "H"))
@@ -198,9 +198,7 @@ def _cphase_operator_deviation(cphase, v: np.ndarray, sign: int) -> float:
 
 def check_cphase(basis: list) -> dict:
     # Each part runs in its own frame, so the basis mixtures are freed
-    # before the operator-form inputs are run.  Those inputs are mostly
-    # untouched pages whose resident size follows the host's huge-page
-    # policy; the peak memory must fall on fully written arrays.
+    # before the operator-form inputs are run.
     cphase = programs.build_cphase()
     rng = np.random.default_rng(3)
     v = rng.normal(size=512) + 1j * rng.normal(size=512)

@@ -46,6 +46,20 @@ class TestPrepare:
         r = logical_readout(zero_session_five.clone())
         assert np.allclose(r.bloch, (0, 0, 1), atol=1e-12)
 
+    @pytest.mark.parametrize("layout", [FIVE, SIX], ids=["FIVE", "SIX"])
+    def test_data_walker_projection_equals_the_full_layout_one(self, layout):
+        # the reference projects on the whole layout
+        zero = engine.all_at_origin(layout)
+        for word in pauli.STABILIZERS + (LOGICAL_Z,):
+            zero, _ = engine.project_pauli(zero, word, 1)
+        one = engine.apply_pauli_word(zero, LOGICAL_X)
+        ses = prepare_logical_zero(layout)
+        assert ses.history.references == (1,) * 6
+        assert np.array_equal(ses.state.amps, zero.amps)
+        encoded = encoded_session(0.8, 0.6j, layout=layout)
+        assert encoded.history.references == (1,) * 6
+        assert np.array_equal(encoded.state.amps, 0.8 * zero.amps + 0.6j * one.amps)
+
 
 class TestEncode:
     def test_zero_amplitudes(self, zero_session_six):
@@ -75,6 +89,12 @@ class TestEncode:
         encode(ses, 0.6, 0.8, forced_outcome=1)
         drop_external(ses)  # raises if the walker is not parked at (0, 00)
         assert ses.layout == FIVE
+
+    def test_drop_external_raises_when_unparked(self):
+        ses = encoded_session(0.8, 0.6j, layout=SIX)
+        engine.flip_coin(ses.state, PEX)
+        with pytest.raises(ValueError, match="not parked"):
+            drop_external(ses)
 
     def test_requires_external(self, zero_session_five):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from walkqec.engine import (COIN_H, COIN_HP, COIN_I, COIN_S, COIN_T, COIN_X,
                             apply_coin, apply_neighbor, apply_particle_unitary,
                             apply_pauli_word, apply_shift, expectation,
                             fidelity, init_state, measure_coin, project_pauli)
-from walkqec.pauli import (LOGICAL_X, LOGICAL_Z, PEX, PauliWord, STABILIZERS,
-                           from_triples)
+from walkqec.pauli import (DATA_PARTICLES, LOGICAL_X, LOGICAL_Z, P1, P3, PEX, ROLES,
+                           PauliWord, STABILIZERS, from_triples, q)
 
 from conftest import position_distribution, random_state, walker_map_reference
 
@@ -166,7 +166,7 @@ class TestParticleUnitary:
     def test_dense_pauli_agrees_with_word_application(self, rng):
         st = random_state(FIVE, rng)
         word = from_triples({2: "XZY"}, phase_pow=2)
-        u = engine.pauli_word_matrix(word, 2)
+        u = oracle.dense_of(word, [q(2, r) for r in ROLES])
         a = apply_particle_unitary(st, 2, u)
         b = apply_pauli_word(st, word)
         assert np.max(np.abs(a.amps - b.amps)) < 1e-12
@@ -194,11 +194,57 @@ class TestPauliWordApplication:
         for word in words:
             vec = rng.normal(size=512) + 1j * rng.normal(size=512)
             vec /= np.linalg.norm(vec)
-            st = oracle.embed_data_vector(FIVE, vec)
+            st = engine.extend(FIVE, DATA_PARTICLES, vec)
             out = apply_pauli_word(st, word)
             dense = oracle.dense_of(word) @ vec
-            got = oracle.extract_data_vector(out, require=0.0)
+            got = engine.restrict(out, DATA_PARTICLES).amps
             assert np.max(np.abs(got - dense)) < 1e-12
+
+
+UNPARKED = [(FIVE, P1), (FIVE, P3), (SIX, P1), (SIX, P3), (SIX, PEX)]
+
+
+class TestRestrictExtend:
+    """The parked-walker slice: ``restrict`` and its inverse ``extend``."""
+
+    @pytest.mark.parametrize("layout", [FIVE, SIX], ids=["FIVE", "SIX"])
+    def test_round_trip_on_the_data_digits(self, layout, rng):
+        vec = rng.normal(size=512) + 1j * rng.normal(size=512)
+        st = engine.extend(layout, DATA_PARTICLES, vec)
+        d = np.arange(512)
+        b0, b2, b4 = d & 7, (d >> 3) & 7, (d >> 6) & 7
+        want = np.zeros(layout.dim, dtype=complex)
+        want[(b0 << 3 * layout.slot(0)) | (b2 << 3 * layout.slot(2))
+             | (b4 << 3 * layout.slot(4))] = vec
+        assert np.array_equal(st.amps, want)
+        back = engine.restrict(st, DATA_PARTICLES)
+        assert back.layout == Layout(3, False)
+        assert np.array_equal(back.amps, vec)
+        assert not np.shares_memory(back.amps, st.amps)
+
+    @pytest.mark.parametrize("layout,keep", [(FIVE, (4, 1)), (SIX, (PEX, 0))],
+                             ids=["FIVE", "SIX"])
+    def test_keep_order_does_not_matter(self, layout, keep, rng):
+        st = random_state(Layout(2, False), rng)
+        a = engine.extend(layout, keep, st.amps)
+        assert np.array_equal(a.amps, engine.extend(layout, keep[::-1], st.amps).amps)
+        assert np.array_equal(engine.restrict(a, keep[::-1]).amps, st.amps)
+
+    @pytest.mark.parametrize("layout,walker", UNPARKED,
+                             ids=[f"{'SIX' if lay.with_external else 'FIVE'}-P{p}"
+                                  for lay, p in UNPARKED])
+    def test_unparked_walker_raises_above_the_tolerance(self, layout, walker, rng):
+        vec = rng.normal(size=512) + 1j * rng.normal(size=512)
+        st = engine.extend(layout, DATA_PARTICLES, vec / np.linalg.norm(vec))
+        for outside in (10 * engine.PARKED_TOL, engine.PARKED_TOL / 10):
+            t = np.arcsin(np.sqrt(outside))
+            rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            moved = engine.apply_local_coin(st, walker, rot)
+            if outside > engine.PARKED_TOL:
+                with pytest.raises(ValueError, match="not parked"):
+                    engine.restrict(moved, DATA_PARTICLES)
+            else:
+                engine.restrict(moved, DATA_PARTICLES)
 
 
 EVERY_WALKER = [(FIVE, p) for p in FIVE.particles] + [(SIX, p) for p in SIX.particles]
@@ -307,7 +353,7 @@ class TestEveryWalkerSlot:
         want = st
         for p, triple in triples.items():
             want = walker_map_reference(
-                want, p, engine.pauli_word_matrix(from_triples({p: triple}), p))
+                want, p, oracle.dense_of(from_triples({p: triple}), [q(p, r) for r in ROLES]))
         got = apply_pauli_word(st, word)
         assert np.max(np.abs(got.amps - word.phase * want.amps)) < 1e-12
 

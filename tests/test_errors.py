@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from walkqec import engine, errors
+from walkqec import engine, errors, oracle
 from walkqec.errors import (CoinError, PauliFlip, R_XY, ShiftError, dumps,
                             from_json, inject, loads, realize,
                             sample_random_error, to_json)
-from walkqec.pauli import (DATA_PARTICLES, PauliWord, decode_lookup,
-                           equivalent_mod_gauge, from_triples, syndrome_of)
+from walkqec.pauli import (DATA_PARTICLES, ROLES, PauliWord, decode_lookup,
+                           equivalent_mod_gauge, from_triples, q, syndrome_of)
 
 from conftest import random_state
 
@@ -82,7 +82,7 @@ class TestStructureInvariants:
         u = realize(sample_random_error(rng, family, target))
         for letters in itertools.product("IXYZ", repeat=3):
             word = from_triples({target: "".join(letters)})
-            mat = engine.pauli_word_matrix(word, target)
+            mat = oracle.dense_of(word, [q(target, r) for r in ROLES])
             coeff = np.trace(mat.conj().T @ u) / 8
             if abs(coeff) < 1e-12:
                 continue

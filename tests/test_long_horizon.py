@@ -4,7 +4,7 @@ frame in which a flip is injected."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from walkqec import engine, errors, pauli
+from walkqec import engine, errors, oracle, pauli
 from walkqec.codec import (apply_frame_physically, bloch_fidelity, encoded_session,
                            inject_error, logical_readout, run_cycle, update_frame)
 from walkqec.pauli import PauliWord
@@ -14,7 +14,7 @@ SHIFT2 = engine.SHIFT_MAP @ engine.SHIFT_MAP
 
 
 def commutes_with_shift2(word: PauliWord) -> bool:
-    m = engine.pauli_word_matrix(word, word.particles()[0])
+    m = oracle.dense_of(word, [pauli.q(word.particles()[0], r) for r in pauli.ROLES])
     return np.array_equal(m @ SHIFT2, SHIFT2 @ m)
 
 

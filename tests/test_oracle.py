@@ -5,9 +5,8 @@ import pytest
 
 from walkqec import engine, oracle, pauli, programs
 from walkqec.oracle import (codespace_basis, codespace_projector, dense_of,
-                            extract_unitary, embed_data_vector,
-                            extract_data_vector, operator_distance)
-from walkqec.pauli import (GZ0, GZ1, LOGICAL_X, LOGICAL_Z, PauliWord,
+                            extract_unitary, operator_distance)
+from walkqec.pauli import (DATA_PARTICLES, GZ0, GZ1, LOGICAL_X, LOGICAL_Z, PauliWord,
                            STABILIZERS, from_triples, pw_mul)
 
 FIVE = engine.FIVE
@@ -40,8 +39,8 @@ class TestDenseOf:
         vec = rng.normal(size=512) + 1j * rng.normal(size=512)
         vec /= np.linalg.norm(vec)
         word = from_triples({4: "XZI", 2: "IYZ", 0: "ZIX"}, phase_pow=2)
-        st = embed_data_vector(FIVE, vec)
-        engine_out = extract_data_vector(engine.apply_pauli_word(st, word), require=0.0)
+        st = engine.extend(FIVE, DATA_PARTICLES, vec)
+        engine_out = engine.restrict(engine.apply_pauli_word(st, word), DATA_PARTICLES).amps
         assert np.max(np.abs(engine_out - dense_of(word) @ vec)) < 1e-12
 
 
@@ -106,7 +105,7 @@ class TestExtraction:
                 spec.set(p, label, h)
         vec = rng.normal(size=512) + 1j * rng.normal(size=512)
         vec /= np.linalg.norm(vec)
-        st = embed_data_vector(FIVE, vec)
+        st = engine.extend(FIVE, DATA_PARTICLES, vec)
         out = engine.apply_shift(engine.apply_coin(st, spec))
         # dense: per-walker 8x8 coin+shift on the data slots
         sig = np.zeros((8, 8))
@@ -121,7 +120,7 @@ class TestExtraction:
                     coin8[4 * a + v, 4 * b + v] = block[a, b]
         step = sig @ coin8
         dense = np.kron(step, np.kron(step, step)) @ vec
-        got = extract_data_vector(out, require=0.0)
+        got = engine.restrict(out, DATA_PARTICLES).amps
         assert np.max(np.abs(got - dense)) < 1e-12
 
     def test_operator_distance_phase_invariant(self):

@@ -94,7 +94,7 @@ class TestBasisTransform:
         # a uniform mixture over either XXX eigenspace keeps the walker's
         # position marginal (uniform) through the transform
         lay1 = engine.Layout(1, False)
-        xxx = engine.pauli_word_matrix(from_triples({0: "XXX"}), 0)
+        xxx = oracle.dense_of(from_triples({0: "XXX"}), [pauli.q(0, r) for r in pauli.ROLES])
         vals, vecs = np.linalg.eigh(xxx)
         prog = build_basis_transform((0,))
         for lam in (-1.0, 1.0):
