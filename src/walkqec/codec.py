@@ -100,20 +100,6 @@ class LogicalReadout:
     bloch: tuple
 
 
-_DATA_LAYOUT = Layout(len(pauli.DATA_PARTICLES), False)
-
-
-def _on_data_walkers(word: PauliWord) -> PauliWord:
-    """A data-walker word re-indexed to walkers 0, 1, 2 of the data
-    walkers' restriction (``engine.restrict`` to ``DATA_PARTICLES``)."""
-    ops = []
-    for qubit, letter in word.ops:
-        if qubit.particle not in pauli.DATA_PARTICLES:
-            raise ValueError(f"readout word {word.render()} acts outside the data walkers")
-        ops.append((pauli.q(pauli.DATA_PARTICLES.index(qubit.particle), qubit.role), letter))
-    return PauliWord(word.phase_pow, tuple(ops))
-
-
 class AxisFrame:
     """Three Bloch axes as real combinations of Pauli words."""
 
@@ -202,8 +188,9 @@ class AxisFrame:
         for name in ("x", "y", "z"):
             total = 0.0
             for coef, word in self.axes[name]:
-                total += (coef * frame.sign_for(word)
-                          * engine.expectation(data, _on_data_walkers(word)))
+                if not {qb.particle for qb in word.support()} <= set(pauli.DATA_PARTICLES):
+                    raise ValueError(f"readout word {word.render()} acts outside the data walkers")
+                total += coef * frame.sign_for(word) * engine.expectation(data, word)
             vals.append(float(total))
         return LogicalReadout(tuple(vals))
 
@@ -272,18 +259,17 @@ def prepare_logical_zero(layout: Layout = SIX, *,
 
 
 def _project_zero(rng, forced_signs: dict) -> tuple:
-    """|0>_L on the data walkers' layout and its stabilizer signs."""
-    state = engine.all_at_origin(_DATA_LAYOUT)
+    """|0>_L with the ancillas parked, and its stabilizer signs."""
+    state = engine.all_at_origin(Layout(parked=pauli.ANCILLA_PARTICLES))
     refs = []
-    for i, s in enumerate(STABILIZERS):
-        word = _on_data_walkers(s)
+    for i, word in enumerate(STABILIZERS):
         sign = forced_signs.get(f"s{i}")
         if sign is None:
             sign = _sample_sign(state, word, rng)
         state, _ = engine.project_pauli(state, word, sign)
         refs.append(sign)
     zbar_sign = forced_signs.get("zbar", 1)
-    state, _ = engine.project_pauli(state, _on_data_walkers(LOGICAL_Z), zbar_sign)
+    state, _ = engine.project_pauli(state, LOGICAL_Z, zbar_sign)
     return state, tuple(refs)
 
 
@@ -368,7 +354,7 @@ def encoded_session(alpha: complex, beta: complex, *,
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-10:
         raise ValueError("amplitudes must be normalized")
     zero, refs = _data_zero()
-    one = engine.apply_pauli_word(zero, _on_data_walkers(LOGICAL_X))
+    one = engine.apply_pauli_word(zero, LOGICAL_X)
     state = engine.extend(layout, pauli.DATA_PARTICLES, alpha * zero.amps + beta * one.amps)
     return Session(state, SyndromeHistory(refs), rng)
 

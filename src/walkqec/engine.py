@@ -19,17 +19,24 @@ input's array, dividing only the kept coin half; ``flip_coin`` is an
 exact coin X that swaps the two coin halves in place.  Pauli-word
 factors are cached per (layout, word) with read-only sign tensors.
 
-A walker is parked at b = 0 (coin 0, vertex 00).  ``restrict`` reads the
-amplitudes with every walker outside a kept set parked, as a smaller
-state, and raises when more than ``PARKED_TOL`` of the weight lies
-elsewhere; ``extend`` is its inverse.  Readout, preparation, dropping
-the external walker and the CPhase operator check all go through the pair.
+A walker is parked at b = 0 (coin 0, vertex 00).  A ``Layout`` can park
+walkers: they are held at b = 0 and left out of the packed index, so its
+states are the full layout's amplitudes at b = 0 of each parked walker.
+Its neighbor parity is the full layout's read there, so a parked walker
+still interacts with its neighbors.  ``restrict`` reads the amplitudes
+with every walker outside a kept set parked, as a state of the layout
+that parks them, and raises when more than ``PARKED_TOL`` of the weight
+lies elsewhere; ``extend`` is its inverse.  Compiled runs, readout,
+preparation, dropping the external walker and the CPhase operator check
+all go through the pair.  The slice is exact for a run that acts on no
+parked walker: a shift fixes b = 0 and the neighbor step is diagonal, so
+the amplitudes outside the slice stay exactly 0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -80,42 +87,72 @@ class Layout:
     and equal vertex.  The external walker is adjacent to the outermost
     nested walker and interacts only at (PEX@10, P4@00) and
     (PEX@11, P4@01), again with equal coins.
+
+    Walkers in ``parked`` are held at b = 0 (coin 0, vertex 00) and are
+    absent from the packed index: ``particles``, ``dim`` and ``slot``
+    cover the other walkers only.  A parked external walker never fires
+    its interaction, so it is the same as no external walker.
     """
 
     num_nested: int = 5
     with_external: bool = False
+    parked: frozenset = frozenset()
 
     def __post_init__(self):
         if self.num_nested < 1:
             raise ValueError("layout needs at least one walker")
         if self.with_external and self.num_nested != 5:
             raise ValueError("external walker is only supported on the 5-walker layout")
+        parked = frozenset(self.parked)
+        unknown = parked - set(range(self.num_nested)) - ({PEX} if self.with_external else set())
+        if unknown:
+            raise ValueError(f"parked walkers {sorted(unknown)} not in layout")
+        if PEX in parked:
+            object.__setattr__(self, "with_external", False)
+            parked -= {PEX}
+        object.__setattr__(self, "parked", parked)
 
-    @property
+    @cached_property
     def particles(self) -> tuple:
-        ps = tuple(range(self.num_nested))
+        """The unparked walkers in slot order."""
+        ps = tuple(p for p in range(self.num_nested) if p not in self.parked)
         return ps + (PEX,) if self.with_external else ps
 
     @property
     def num_particles(self) -> int:
-        return self.num_nested + (1 if self.with_external else 0)
+        return len(self.particles)
 
     @property
     def dim(self) -> int:
         return 8 ** self.num_particles
 
+    @cached_property
+    def _slots(self) -> dict:
+        return {p: s for s, p in enumerate(self.particles)}
+
     def slot(self, particle: int) -> int:
-        """Position of a walker in the index packing (P0 = 0)."""
-        if particle == PEX:
-            if not self.with_external:
+        """Position of a walker in the index packing (the lowest unparked
+        nested walker is 0, the external walker is last)."""
+        slot = self._slots.get(particle)
+        if slot is None:
+            if particle in self.parked:
+                raise ValueError(f"walker {particle} is parked in this layout")
+            if particle == PEX:
                 raise ValueError("layout has no external walker")
-            return self.num_nested
-        if not 0 <= particle < self.num_nested:
             raise ValueError(f"walker {particle} not in layout")
-        return particle
+        return slot
 
     def nested_pairs(self) -> tuple:
+        """Adjacent nested walkers, parked or not."""
         return tuple((i, i + 1) for i in range(self.num_nested - 1))
+
+    def parking(self, keep: Iterable[int]) -> "Layout":
+        """This layout with every walker outside ``keep`` parked as well."""
+        keep = set(keep)
+        for p in keep:
+            self.slot(p)  # rejects walkers that are parked or not in the layout
+        return Layout(self.num_nested, self.with_external,
+                      self.parked | (set(self.particles) - keep))
 
 
 FIVE = Layout(5, False)
@@ -128,17 +165,20 @@ def neighbor_parity(layout: Layout) -> np.ndarray:
 
     The parity is accumulated on a bool (8,) * n view from 8x8 pair
     tables broadcast over the other walkers, so no index array over the
-    whole state is built.
+    whole state is built.  A parked walker's side of a table is read at
+    b = 0, so this is the full layout's parity at the parked index.
     """
     n = layout.num_particles
     odd = np.zeros((8,) * n, dtype=bool)
 
     def on_axes(table: np.ndarray, p: int, q: int) -> np.ndarray:
-        ap, aq = n - 1 - layout.slot(p), n - 1 - layout.slot(q)
-        if ap > aq:
-            table, ap, aq = table.T, aq, ap
+        table = table[tuple(0 if w in layout.parked else slice(None) for w in (p, q))]
+        axes = [n - 1 - layout.slot(w) for w in (p, q) if w not in layout.parked]
+        if len(axes) == 2 and axes[0] > axes[1]:
+            table = table.T
         shape = [1] * n
-        shape[ap] = shape[aq] = 8
+        for ax in axes:
+            shape[ax] = 8
         return table.reshape(shape)
 
     for i, j in layout.nested_pairs():
@@ -219,19 +259,21 @@ def all_at_origin(layout: Layout) -> StateVector:
 def _parked_index(layout: Layout, keep: Iterable[int]) -> tuple:
     """Index into the (8,) * n view, most significant walker first, that
     takes each walker in ``keep`` whole and every other walker at b = 0;
-    and the layout of the kept walkers in slot order."""
-    slots = {layout.slot(p) for p in keep}
-    index = tuple(slice(None) if s in slots else 0
-                  for s in reversed(range(layout.num_particles)))
-    return index, Layout(len(slots), False)
+    and the layout with those other walkers parked."""
+    small = layout.parking(keep)
+    index = tuple(slice(None) if p in small.particles else 0
+                  for p in reversed(layout.particles))
+    return index, small
 
 
 def restrict(state: StateVector, keep: Iterable[int]) -> StateVector:
     """The amplitudes with every walker outside ``keep`` parked (b = 0:
-    coin 0, vertex 00), as a state of ``len(keep)`` walkers in slot order.
+    coin 0, vertex 00), as a state of the layout that parks them.
 
-    Raises ValueError when more than ``PARKED_TOL`` of the state's weight
-    lies outside that slice.  The result owns its array.
+    The kept walkers keep their labels and their order, so a word on
+    them applies to the result as it is.  Raises ValueError when more
+    than ``PARKED_TOL`` of the state's weight lies outside that slice.
+    The result owns its array.
     """
     index, small = _parked_index(state.layout, keep)
     vec = state.amps.reshape((8,) * state.layout.num_particles)[index].copy().reshape(-1)
@@ -243,8 +285,8 @@ def restrict(state: StateVector, keep: Iterable[int]) -> StateVector:
 
 
 def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:
-    """Inverse of ``restrict``: the ``layout`` state holding ``vec`` on the
-    walkers in ``keep`` (in slot order), every other walker parked.
+    """Inverse of ``restrict``: the ``layout`` state holding ``vec``, the
+    amplitudes of ``layout.parking(keep)``, with every other walker parked.
 
     ``np.full`` writes every page of the array.  Pages of an ``np.zeros``
     array that are never written stay unmapped, and how much of such an

@@ -157,6 +157,99 @@ class TestFusedEqualsReference:
             assert_same_branches(fused, reference)
 
 
+def parked_input(layout, rng, keep=DATA_PARTICLES):
+    """A random state on the walkers in ``keep``, every other walker parked."""
+    small = layout.parking(keep)
+    return engine.extend(layout, keep, random_state(small, rng).amps)
+
+
+def middle_block():
+    data_x = CoinSpec.uniform(DATA_PARTICLES, COIN_X)
+    return WalkProgram("middle", tuple(programs._walk_iterations(data_x, 8, True)))
+
+
+@pytest.fixture
+def walker_map_dims(monkeypatch):
+    """The state size of every walker-map pass."""
+    dims = []
+    kernel = engine.apply_walker_maps
+
+    def recording(state, maps, scratch):
+        dims.append(state.layout.dim)
+        return kernel(state, maps, scratch)
+
+    monkeypatch.setattr(engine, "apply_walker_maps", recording)
+    return dims
+
+
+class TestSlice:
+    """``run_program`` runs on the walkers a program moves, exactly."""
+
+    @pytest.mark.parametrize("name", ON_FIVE)
+    def test_five_parked_inputs_all_branches(self, name, rng):
+        st = parked_input(FIVE, rng)
+        prog = PROGRAMS[name]
+        fused = run_program(st, prog, all_branches=True)
+        assert all(b.state.layout == FIVE for b in fused)
+        assert_same_branches(fused, interpret_program(st, prog, all_branches=True))
+
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    @pytest.mark.parametrize("keep", [DATA_PARTICLES, DATA_PARTICLES + (engine.PEX,)],
+                             ids=["data", "data+PEX"])
+    def test_six_parked_inputs_seeded(self, name, keep, rng):
+        st = parked_input(SIX, rng, keep)
+        prog = PROGRAMS[name]
+        fused = run_program(st, prog, rng=np.random.default_rng(5))
+        reference = interpret_program(st, prog, rng=np.random.default_rng(5))
+        assert all(b.state.layout == SIX for b in fused)
+        assert_same_branches(fused, reference)
+        # the full-layout reference is exactly 0.0 wherever the slice parks a walker
+        kept = programs._slice(st, prog.walkers)
+        parked = engine.extend(SIX, kept, np.ones(SIX.parking(kept).dim)).amps == 0
+        assert all(np.all(b.state.amps[parked] == 0) for b in reference)
+
+    def test_gates_run_on_the_walkers_they_move(self, walker_map_dims):
+        ses = codec.encoded_session(0.8, 0.6j, layout=SIX)
+        codec.apply_logical_gate(ses, "H")
+        assert walker_map_dims == [512]
+        walker_map_dims.clear()
+        codec.apply_logical_gate(ses, "T")
+        assert walker_map_dims and set(walker_map_dims) == {4096}
+
+    def test_unparked_walker_not_acted_on_stays_in_the_slice(self):
+        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
+        engine.flip_coin(st, engine.PEX)  # PEX at coin 1, vertex 00
+        prog = middle_block()
+        assert engine.PEX not in prog.walkers
+        assert programs._slice(st, prog.walkers) == DATA_PARTICLES + (engine.PEX,)
+        assert_same_branches(run_program(st, prog), interpret_program(st, prog))
+
+    def test_tiny_amplitude_widens_the_slice(self):
+        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
+        flat = 4 << 3 * SIX.slot(P1)  # P1 at coin 1, every other walker at b = 0
+        assert st.amps[flat] == 0
+        st.amps[flat] = 1e-300
+        prog = build_logical_clifford("H")
+        assert programs._slice(st, prog.walkers) == (0, P1, 2, 4)
+        (out,) = run_program(st, prog)
+        (ref,) = interpret_program(st, prog)
+        coin_one = out.state.coin_view(P1)[:, 1]
+        assert np.count_nonzero(coin_one) == 8
+        assert np.allclose(coin_one, ref.state.coin_view(P1)[:, 1], rtol=1e-12, atol=0)
+
+    def test_program_on_every_walker_is_not_sliced(self, monkeypatch, rng):
+        st = parked_input(FIVE, rng)
+
+        def refuse(*args):
+            raise AssertionError("a run on every walker was sliced")
+
+        monkeypatch.setattr(engine, "restrict", refuse)
+        monkeypatch.setattr(engine, "extend", refuse)
+        assert build_full_cycle(0).walkers == set(FIVE.particles)
+        branches = run_program(st, build_full_cycle(0), all_branches=True)
+        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestBranchPruning:
     """A seeded or forced run keeps its branch however small; only branch
     summing prunes."""
@@ -190,11 +283,7 @@ class TestBranchPruning:
 
 class TestCache:
     def test_equal_programs_share_one_entry(self):
-        def middle():
-            data_x = CoinSpec.uniform(DATA_PARTICLES, COIN_X)
-            return WalkProgram("middle", tuple(programs._walk_iterations(data_x, 8, True)))
-
-        first, second = middle(), middle()
+        first, second = middle_block(), middle_block()
         assert first.steps[0].spec is not second.steps[0].spec
         before = programs._compiled.cache_info()
         segs = compile_program(first, SIX)

@@ -218,7 +218,7 @@ class TestRestrictExtend:
              | (b4 << 3 * layout.slot(4))] = vec
         assert np.array_equal(st.amps, want)
         back = engine.restrict(st, DATA_PARTICLES)
-        assert back.layout == Layout(3, False)
+        assert back.layout == Layout(5, False, parked={P1, P3})
         assert np.array_equal(back.amps, vec)
         assert not np.shares_memory(back.amps, st.amps)
 
@@ -245,6 +245,38 @@ class TestRestrictExtend:
                     engine.restrict(moved, DATA_PARTICLES)
             else:
                 engine.restrict(moved, DATA_PARTICLES)
+
+
+class TestParkedLayout:
+    """Parked walkers are held at b = 0 and left out of the packed index."""
+
+    def test_index_covers_the_unparked_walkers(self):
+        lay = Layout(5, True, parked={P1, P3})
+        assert lay.particles == (0, 2, 4, PEX)
+        assert lay.dim == 8 ** 4
+        assert [lay.slot(p) for p in lay.particles] == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="parked"):
+            lay.slot(P1)
+        with pytest.raises(ValueError):
+            Layout(5, False, parked={PEX})
+
+    def test_parked_external_walker_is_no_external_walker(self, rng):
+        assert Layout(5, True, parked={PEX}) == FIVE
+        assert hash(Layout(5, True, parked={PEX})) == hash(FIVE)
+        vec = rng.normal(size=512) + 1j * rng.normal(size=512)
+        st = engine.extend(SIX, DATA_PARTICLES, vec / np.linalg.norm(vec))
+        assert engine.restrict(st, FIVE.particles).layout == FIVE
+
+    @pytest.mark.parametrize("parked", [{P1, 2}, {P3, 4}, {4, PEX}, {0, P1, P3, PEX}],
+                             ids=["P1P2", "P3P4", "P4PEX", "P0P1P3PEX"])
+    def test_parity_is_the_full_parity_at_the_slice(self, parked):
+        # two adjacent parked walkers match at b = 0, a constant -1 factor
+        small = Layout(5, True, parked=parked)
+        full_sign = np.where(engine.neighbor_parity(SIX), -1.0, 1.0)
+        small_sign = np.where(engine.neighbor_parity(small), -1.0, 1.0)
+        on_slice = engine.extend(SIX, small.particles, np.ones(small.dim)).amps != 0
+        got = engine.extend(SIX, small.particles, small_sign).amps
+        assert np.array_equal(got, np.where(on_slice, full_sign, 0))
 
 
 EVERY_WALKER = [(FIVE, p) for p in FIVE.particles] + [(SIX, p) for p in SIX.particles]
