@@ -251,7 +251,8 @@ def prepare_logical_zero(layout: Layout = SIX, *,
     The resulting state is the run's |0>_L by definition.  Signs with
     zero probability (e.g. -1 for s0..s3 from this start) raise.  The
     words act on the data walkers only, so the projections run on their
-    512 amplitudes and the result is extended to ``layout`` once.
+    512 amplitudes and the result is extended to ``layout`` once:
+    ``layout`` is any parking that keeps the data walkers.
     """
     data, refs = _project_zero(rng, dict(forced_signs or {}))
     return Session(engine.extend(layout, pauli.DATA_PARTICLES, data.amps),
@@ -349,7 +350,8 @@ def encoded_session(alpha: complex, beta: complex, *,
     forced to 0, since the coin-to-logical walk equals a CNOT; the
     equivalence is pinned by tests.  Used by sweeps to avoid re-running
     the encoding walk thousands of times.  The superposition is composed
-    on the data walkers' layout and extended to ``layout`` once.
+    on the data walkers' layout and extended to ``layout``, any parking
+    that keeps the data walkers, once.
     """
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-10:
         raise ValueError("amplitudes must be normalized")

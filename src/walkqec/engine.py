@@ -23,14 +23,17 @@ A walker is parked at b = 0 (coin 0, vertex 00).  A ``Layout`` can park
 walkers: they are held at b = 0 and left out of the packed index, so its
 states are the full layout's amplitudes at b = 0 of each parked walker.
 Its neighbor parity is the full layout's read there, so a parked walker
-still interacts with its neighbors.  ``restrict`` reads the amplitudes
+still interacts with its neighbors.  ``take_slice`` reads the amplitudes
 with every walker outside a kept set parked, as a state of the layout
-that parks them, and raises when more than ``PARKED_TOL`` of the weight
-lies elsewhere; ``extend`` is its inverse.  Compiled runs, readout,
-preparation, dropping the external walker and the CPhase operator check
-all go through the pair.  The slice is exact for a run that acts on no
-parked walker: a shift fixes b = 0 and the neighbor step is diagonal, so
-the amplitudes outside the slice stay exactly 0.0.
+that parks them; ``restrict`` does the same and raises when more than
+``PARKED_TOL`` of the weight lies elsewhere; ``extend`` is their
+inverse.  Compiled runs take their slice with ``take_slice`` (their
+exact scan has shown the weight outside to be 0.0) and extend each
+branch back; readout and dropping the external walker go through
+``restrict``; preparation and encoded sessions go through ``extend``.
+The slice is exact for a run that acts on no parked walker: a shift
+fixes b = 0 and the neighbor step is diagonal, so the amplitudes outside
+the slice stay exactly 0.0.
 """
 
 from __future__ import annotations
@@ -266,22 +269,29 @@ def _parked_index(layout: Layout, keep: Iterable[int]) -> tuple:
     return index, small
 
 
-def restrict(state: StateVector, keep: Iterable[int]) -> StateVector:
+def take_slice(state: StateVector, keep: Iterable[int]) -> StateVector:
     """The amplitudes with every walker outside ``keep`` parked (b = 0:
     coin 0, vertex 00), as a state of the layout that parks them.
 
     The kept walkers keep their labels and their order, so a word on
-    them applies to the result as it is.  Raises ValueError when more
-    than ``PARKED_TOL`` of the state's weight lies outside that slice.
-    The result owns its array.
+    them applies to the result as it is.  The weight outside the slice
+    is not checked: this is for a caller that has shown it to be exactly
+    0.0.  The result owns its array.
     """
     index, small = _parked_index(state.layout, keep)
     vec = state.amps.reshape((8,) * state.layout.num_particles)[index].copy().reshape(-1)
-    outside = float(np.vdot(state.amps, state.amps).real - np.vdot(vec, vec).real)
+    return StateVector(small, vec)
+
+
+def restrict(state: StateVector, keep: Iterable[int]) -> StateVector:
+    """``take_slice``, checked: raises ValueError when more than
+    ``PARKED_TOL`` of the state's weight lies outside the slice."""
+    small = take_slice(state, keep)
+    outside = float(np.vdot(state.amps, state.amps).real - np.vdot(small.amps, small.amps).real)
     if outside > PARKED_TOL:
         raise ValueError(f"walkers outside the kept ones are not parked: weight "
                          f"{outside:.3e} lies outside their slice")
-    return StateVector(small, vec)
+    return small
 
 
 def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:

@@ -94,10 +94,12 @@ def extract_unitary(program: WalkProgram, inputs: Sequence[StateVector],
 def basis_matrix(program: WalkProgram, layout: Layout, flats: Sequence[int]) -> np.ndarray:
     """Matrix <e_i | U_program | e_j> over the basis states at flat indices ``flats``.
 
-    Each one-hot input is built, run and read by index in turn, so at most
-    one of them is alive at a time: a one-hot array is almost all untouched
-    pages, and how much of it is resident depends on the host's huge-page
-    policy, not on the program."""
+    Each one-hot input is as large as ``layout``: pass the layout that
+    parks every walker the program leaves at b = 0.  The inputs are built,
+    run and read by index in turn, so at most one of them is alive at a
+    time: a one-hot array is almost all untouched pages, and how much of
+    it is resident depends on the host's huge-page policy, not on the
+    program."""
     flats = list(flats)
     cols = []
     for flat in flats:

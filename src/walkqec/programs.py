@@ -20,7 +20,7 @@ Each run covers only the walkers the program moves.  The slice keeps the
 walkers its Coin entries, LocalCoin, MeasureCoin and ResetAncilla steps
 act on (every walker when injections are given), and any other walker
 with a nonzero amplitude away from b = 0, found by an exact ``!= 0``
-scan.  The rest are parked (``engine.restrict``): a Shift fixes b = 0
+scan.  The rest are parked (``engine.take_slice``): a Shift fixes b = 0
 and Neighbor is diagonal, so their amplitudes outside the slice are
 exactly 0.0 before and after the run, and extending each branch back
 (``engine.extend``) loses no weight.  On a freshly encoded six-walker
@@ -409,7 +409,7 @@ def run_program(state: StateVector, program: WalkProgram, *,
     layout = state.layout
     keep = layout.particles if injections else _slice(state, program.walkers)
     sliced = len(keep) < len(layout.particles)
-    start = engine.restrict(state, keep) if sliced else state.copy()
+    start = engine.take_slice(state, keep) if sliced else state.copy()
     segments = compile_program(program, start.layout)
     policy = _Policy(rng, forced, all_branches, injections)
     branches = [Branch(start)]
@@ -619,9 +619,14 @@ def build_basis_transform(targets: Iterable[int], frame: int = 0) -> WalkProgram
     compiled transform W satisfies W XXX = ZZZ W, W ZZZ = XXX W and
     W^2 = 1 exactly on each target walker.  ``frame`` is the walkers'
     shift offset (0 or 2) at program start; the offset-2 compile is the
-    same transform conjugated into the co-moving frame.
+    same transform conjugated into the co-moving frame.  Cached by
+    ``tuple(targets)`` and ``frame``.
     """
-    targets = tuple(targets)
+    return _basis_transform(tuple(targets), frame)
+
+
+@lru_cache(maxsize=None)
+def _basis_transform(targets: tuple, frame: int) -> WalkProgram:
     bad = set(targets) - set(DATA_PARTICLES)
     if bad:
         raise ValueError(f"transform targets must be data walkers, got {sorted(bad)}")
@@ -668,11 +673,18 @@ def build_cnot_coin_to_logical() -> WalkProgram:
     transform turns the accumulated controlled-ZZZ into controlled-XXX,
     i.e. a CNOT from the external coin onto the logical qubit.
     """
-    transform = build_basis_transform((4,))
+    transform = build_basis_transform((4,)).steps
+    steps = transform + build_interaction_block().steps + transform
+    return WalkProgram("cnot[coin->logical]", steps)
+
+
+@lru_cache(maxsize=None)
+def build_interaction_block() -> WalkProgram:
+    """The CNOT's middle eight iterations: X on every data coin at every
+    vertex, then a shift and a neighbor step.  On the external coin's
+    1 branch this is controlled-(Zc Zy Zx) on P4."""
     data_x = CoinSpec.uniform(DATA_PARTICLES, COIN_X)
-    middle = _walk_iterations(data_x, 8, True)
-    steps = list(transform.steps) + middle + list(transform.steps)
-    return WalkProgram("cnot[coin->logical]", tuple(steps))
+    return WalkProgram("interaction", tuple(_walk_iterations(data_x, 8, True)))
 
 
 @lru_cache(maxsize=None)

@@ -110,6 +110,12 @@ def sweep_trial(seed: int, index: int, family: str, target: int,
 
 # ------------------------------------------------------------ identities
 
+# The walkers the CNOT, CPhase and T protocols involve: the data walkers
+# and the external one.  P1 and P3 stay parked at b = 0 throughout, so the
+# identity checks and gate words run on this layout's 4,096 amplitudes.
+CHECK_LAYOUT = engine.SIX.parking(pauli.DATA_PARTICLES + (pauli.PEX,))
+
+
 def _identity(name: str, dev: float, tolerance: float) -> dict:
     return {"identity": name, "deviation": dev, "tolerance": tolerance,
             "pass": dev < tolerance}
@@ -130,8 +136,9 @@ def check_transform() -> dict:
 
 
 def _cnot_basis() -> list:
-    """|0>_L, |1>_L and both with the external coin flipped, on SIX."""
-    zero = codec.prepare_logical_zero(engine.SIX).state
+    """|0>_L, |1>_L and both with the external coin flipped, on
+    ``CHECK_LAYOUT``."""
+    zero = codec.prepare_logical_zero(CHECK_LAYOUT).state
     one = engine.apply_pauli_word(zero, pauli.LOGICAL_X)
     flip = pauli.PauliWord.single(pauli.PEX, "c", "X")
     return [zero, one,
@@ -146,13 +153,10 @@ def check_cnot(basis: list) -> dict:
 
 
 def check_middle_block() -> dict:
-    lay6 = engine.SIX
-    data_x = engine.CoinSpec.uniform(pauli.DATA_PARTICLES, engine.COIN_X)
-    middle = programs.WalkProgram(
-        "middle", tuple(programs._walk_iterations(data_x, 8, True)))
-    flats = [(bx << (3 * lay6.slot(pauli.PEX))) | (b4 << (3 * lay6.slot(4)))
+    lay = CHECK_LAYOUT
+    flats = [(bx << (3 * lay.slot(pauli.PEX))) | (b4 << (3 * lay.slot(4)))
              for bx in (0, 4) for b4 in range(8)]  # external coin 0/1 at vertex 00
-    m = oracle.basis_matrix(middle, lay6, flats)
+    m = oracle.basis_matrix(programs.build_interaction_block(), lay, flats)
     z3 = np.kron(np.diag([1, -1]), np.kron(np.diag([1, -1]), np.diag([1, -1])))
     target = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), z3]]).astype(complex)
     dev = float(np.max(np.abs(m - target)))
@@ -185,11 +189,11 @@ def _cphase_matrix_deviation(cphase, basis: list) -> float:
 def _cphase_operator_deviation(cphase, v: np.ndarray, sign: int) -> float:
     """1 - fidelity of the program against the exact operator form
     |+><+| I + |-><-| (Zc Xx Xy)_P4 on data vector ``v`` in one sector."""
-    # PEX is the top digit of the (P0, P2, P4, PEX) restriction; b = 4 is coin 1 at vertex 00
+    # PEX is the top digit of CHECK_LAYOUT's packing; b = 4 is coin 1 at vertex 00
     vec = np.zeros(8 * v.size, dtype=complex)
     vec[:v.size] = v / np.sqrt(2)
     vec[4 * v.size:5 * v.size] = sign * v / np.sqrt(2)
-    st = engine.extend(engine.SIX, pauli.DATA_PARTICLES + (pauli.PEX,), vec)
+    st = engine.StateVector(CHECK_LAYOUT, vec)
     outw = programs.run_unitary(st, cphase)
     if sign < 0:
         st = engine.apply_pauli_word(st, pauli.conjugate_transversal(pauli.LOGICAL_X, "H"))
@@ -250,10 +254,11 @@ BLOCH_GRID = (
 
 def gate_word_deviation(word: str) -> float:
     """Worst componentwise distance, over the encoded states BLOCH_GRID on
-    SIX, between the walked Bloch image of ``word`` and the exact 2x2 map."""
+    ``CHECK_LAYOUT``, between the walked Bloch image of ``word`` and the
+    exact 2x2 map."""
     worst = 0.0
     for alpha, beta in BLOCH_GRID:
-        ses = codec.encoded_session(alpha, beta, layout=engine.SIX)
+        ses = codec.encoded_session(alpha, beta, layout=CHECK_LAYOUT)
         bloch_in = codec.logical_readout(ses).bloch
         codec.apply_word(ses, word)
         got = codec.logical_readout(ses).bloch

@@ -243,8 +243,8 @@ class TestSlice:
         def refuse(*args):
             raise AssertionError("a run on every walker was sliced")
 
-        monkeypatch.setattr(engine, "restrict", refuse)
-        monkeypatch.setattr(engine, "extend", refuse)
+        for name in ("take_slice", "restrict", "extend"):
+            monkeypatch.setattr(engine, name, refuse)
         assert build_full_cycle(0).walkers == set(FIVE.particles)
         branches = run_program(st, build_full_cycle(0), all_branches=True)
         assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)

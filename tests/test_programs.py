@@ -64,6 +64,27 @@ class TestStructure:
         assert build_cnot_coin_to_logical().iteration_count() == 24
 
 
+class TestCachedBuilders:
+    def test_basis_transform_is_cached_by_targets_and_frame(self):
+        assert build_basis_transform([4]) is build_basis_transform((4,))
+        assert build_basis_transform((4,), frame=2) is build_basis_transform([4], 2)
+        assert build_basis_transform((4,), frame=2) is not build_basis_transform((4,))
+
+    @pytest.mark.parametrize("targets, frame", [((1,), 0), ((0, PEX), 0), ((0,), 1)])
+    def test_bad_targets_and_frames_still_raise(self, targets, frame):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build_basis_transform(targets, frame)
+
+    def test_interaction_block_is_the_cnot_middle(self):
+        block = programs.build_interaction_block()
+        assert block is programs.build_interaction_block()
+        assert block.iteration_count() == 8
+        transform = build_basis_transform((4,)).steps
+        cnot = build_cnot_coin_to_logical().steps
+        assert cnot == transform + block.steps + transform
+
+
 class TestBasisTransform:
     def test_intertwines_xxx_and_zzz(self):
         lay1 = engine.Layout(1, False)
