@@ -81,13 +81,21 @@ def codespace_basis(signs: Sequence[int]) -> dict:
 
 def extract_unitary(program: WalkProgram, inputs: Sequence[StateVector],
                     outputs: Sequence[StateVector]) -> np.ndarray:
-    """Matrix <out_i | U_program | in_j> for a measurement-free program."""
+    """Matrix <out_i | U_program | in_j> for a measurement-free program.
+
+    Each overlap sums over the output's nonzero amplitudes only, in index
+    order.  The sum then does not depend on how many zeros pad the state:
+    a layout that parks walkers at b = 0 and the full layout gather the
+    same terms in the same order, so they give bit-identical matrices
+    whatever way the BLAS kernel splits a long dot product."""
     if program.has_measurements():
         raise ValueError(f"extract_unitary needs a measurement-free program, got {program.name!r}")
+    supports = [np.flatnonzero(o.amps) for o in outputs]
     cols = []
     for s in inputs:
         final = run_unitary(s, program)
-        cols.append([complex(np.vdot(o.amps, final.amps)) for o in outputs])
+        cols.append([complex(np.vdot(o.amps[nz], final.amps[nz]))
+                     for o, nz in zip(outputs, supports)])
     return np.array(cols, dtype=complex).T
 
 
