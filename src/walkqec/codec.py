@@ -33,6 +33,7 @@ from .programs import T_THETA
 
 SIX = engine.SIX
 FIVE = engine.FIVE
+TERM_TOL = 1e-15   # readout-axis terms with smaller coefficients are dropped
 
 # The rotation axis realized by the T protocol: the CPhase pair encloses
 # the coin phase, giving exp(-i pi/8 * Zc_pex x D) with D the transversal-
@@ -171,14 +172,14 @@ class AxisFrame:
     def _scale(terms, factor):
         return [(coef * factor, word) for coef, word in terms]
 
-    def _tidy(self, tol: float = 1e-15) -> None:
+    def _tidy(self) -> None:
         for name, terms in self.axes.items():
             acc: dict = {}
             for coef, word in terms:
                 signed = coef * (1.0 if word.phase_pow == 0 else -1.0)
                 key = word.ops
                 acc[key] = acc.get(key, 0.0) + signed
-            self.axes[name] = [(c, PauliWord(0, ops)) for ops, c in acc.items() if abs(c) > tol]
+            self.axes[name] = [(c, PauliWord(0, ops)) for ops, c in acc.items() if abs(c) > TERM_TOL]
 
     def readout(self, state: StateVector, frame: PauliFrame) -> LogicalReadout:
         """Frame-signed axis values, evaluated on the data walkers'

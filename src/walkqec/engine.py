@@ -13,6 +13,12 @@ coin, local-coin and walker-unitary operations are thin wrappers over
 it.  The shift is one flat gather and the neighbor interaction one
 masked negation, each a single pass per step.
 
+The step operations return a new state and leave their input as it
+was; only ``measure_coin(inplace=True)`` and ``flip_coin`` write into
+it.  A ``CoinSpec`` is an immutable value: its entries are read-only
+copies, and equal specs compare and hash equal, so a program holding
+them can key the compile cache.
+
 Measurement and Pauli-word kernels act on strided views of the
 amplitude array.  ``measure_coin(inplace=True)`` collapses into the
 input's array, dividing only the kept coin half; ``flip_coin`` is an
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -48,6 +55,7 @@ from .pauli import PEX, PauliWord
 
 ATOL = 1e-12
 PARKED_TOL = 1e-12    # weight a restriction may leave outside its slice
+BRANCH_TOL = 1e-12    # an outcome of at most this probability is dropped or refused
 
 # Vertex labels in clockwise order; v = 2x + y.
 VERTEX_LABELS = ("00", "10", "11", "01")
@@ -75,11 +83,11 @@ COIN_S = np.diag(np.exp([-1j * np.pi / 4, 1j * np.pi / 4]))   # exp(-i pi/4 Z)
 COIN_T = np.diag(np.exp([1j * np.pi / 8, -1j * np.pi / 8]))   # exp(+i pi/8 Z)
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=atol))
+    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=ATOL))
 
 
 @dataclass(frozen=True)
@@ -223,8 +231,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def check_norm(self, atol: float = ATOL) -> None:
-        if abs(self.norm() - 1.0) > atol:
+    def check_norm(self) -> None:
+        if abs(self.norm() - 1.0) > ATOL:
             raise ValueError(f"state norm deviates from 1 by {abs(self.norm()-1.0):.3e}")
 
     def coin_view(self, particle: int) -> np.ndarray:
@@ -311,31 +319,34 @@ def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:
 class CoinSpec:
     """Vertex-conditioned coin operators, one 2x2 unitary per (walker, vertex).
 
-    Entries default to the identity; only non-identity entries are stored
-    and applied.
+    Built from a whole ``{(walker, vertex label): u}`` mapping.  Entries
+    default to the identity; only non-identity entries are kept, as
+    read-only copies in the read-only mapping ``entries``, keyed by
+    (walker, v).  Specs with equal entries compare and hash equal.
     """
 
     def __init__(self, entries: Optional[Mapping[tuple, np.ndarray]] = None):
-        self.entries: dict[tuple, np.ndarray] = {}
-        if entries:
-            for (particle, vertex), u in entries.items():
-                self.set(particle, vertex, u)
+        kept = {}
+        for (particle, vertex), u in (entries or {}).items():
+            u = np.array(u, dtype=complex)
+            if u.shape != (2, 2) or not is_unitary(u):
+                raise ValueError(f"coin entry for ({particle}, {vertex}) is not a 2x2 unitary")
+            if not np.allclose(u, COIN_I, atol=ATOL):
+                u.flags.writeable = False
+                kept[(particle, V_OF_LABEL[vertex])] = u
+        self.entries = MappingProxyType(kept)
+        self._key = tuple((pv, u.tobytes()) for pv, u in sorted(kept.items()))
+        self._hash = hash(self._key)
 
-    def set(self, particle: int, vertex: str, u: np.ndarray) -> "CoinSpec":
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2) or not is_unitary(u):
-            raise ValueError(f"coin entry for ({particle}, {vertex}) is not a 2x2 unitary")
-        if not np.allclose(u, COIN_I, atol=ATOL):
-            self.entries[(particle, V_OF_LABEL[vertex])] = u
-        return self
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CoinSpec) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def uniform(particles: Iterable[int], u: np.ndarray) -> "CoinSpec":
-        spec = CoinSpec()
-        for p in particles:
-            for label in VERTEX_LABELS:
-                spec.set(p, label, u)
-        return spec
+        return CoinSpec({(p, label): u for p in particles for label in VERTEX_LABELS})
 
     def walker_maps(self) -> dict:
         """The update as one 8x8 map per touched walker."""
@@ -366,61 +377,51 @@ def _coin_name(u: np.ndarray) -> str:
     return "U"
 
 
-def apply_coin(state: StateVector, spec: CoinSpec, inplace: bool = False) -> StateVector:
+def apply_coin(state: StateVector, spec: CoinSpec) -> StateVector:
     """Apply the vertex-conditioned coin update to every walker."""
-    return _apply_maps(state, spec.walker_maps().items(), inplace)
+    return _apply_maps(state, list(spec.walker_maps().items()))
 
 
-def apply_local_coin(state: StateVector, particle: int, u: np.ndarray,
-                     inplace: bool = False) -> StateVector:
+def apply_local_coin(state: StateVector, particle: int, u: np.ndarray) -> StateVector:
     """Apply one 2x2 unitary to a walker's coin at every vertex."""
     u = np.asarray(u, dtype=complex)
     if not is_unitary(u):
         raise ValueError("local coin operator must be unitary")
-    return _apply_maps(state, [(particle, np.kron(u, np.eye(4)))], inplace)
+    return _apply_maps(state, [(particle, np.kron(u, np.eye(4)))])
 
 
-def apply_shift(state: StateVector, inplace: bool = False) -> StateVector:
+def apply_shift(state: StateVector) -> StateVector:
     """Coin-1 components advance one clockwise vertex; coin-0 stay put."""
-    amps = state.amps[_shift_gather_flat(state.layout)]
-    if inplace:
-        state.amps = amps
-        return state
-    return StateVector(state.layout, amps)
+    return StateVector(state.layout, state.amps[_shift_gather_flat(state.layout)])
 
 
-def apply_neighbor(state: StateVector, inplace: bool = False) -> StateVector:
+def apply_neighbor(state: StateVector) -> StateVector:
     """Phase -1 on components where adjacent walkers match (coin and vertex)."""
-    out = state if inplace else state.copy()
+    out = state.copy()
     np.negative(out.amps, out=out.amps, where=neighbor_parity(state.layout))
     return out
 
 
-def apply_particle_unitary(state: StateVector, particle: int, u8: np.ndarray,
-                           inplace: bool = False) -> StateVector:
+def apply_particle_unitary(state: StateVector, particle: int, u8: np.ndarray) -> StateVector:
     """Apply an 8x8 unitary to one walker's (coin, vertex) factor."""
     u8 = np.asarray(u8, dtype=complex)
     if u8.shape != (8, 8) or not is_unitary(u8):
         raise ValueError("walker operator must be an 8x8 unitary")
-    return _apply_maps(state, [(particle, u8)], inplace)
+    return _apply_maps(state, [(particle, u8)])
 
 
-def _apply_maps(state: StateVector, maps, inplace: bool) -> StateVector:
+def _apply_maps(state: StateVector, maps: list) -> StateVector:
     """(particle, u8) maps through ``apply_walker_maps``, one pass each.
 
-    The first pass reads the input array and writes a new one, so the
-    input is left as it was unless ``inplace``; then its array serves as
-    the scratch buffer.  With no map the result still gets its own array.
+    The first pass reads the input's array and writes a new one, so the
+    input is left as it was; the later passes swap that array with a
+    second new one.  With no map the result is a copy.
     """
-    src = state.amps
-    out = state if inplace else StateVector(state.layout, src)
-    scratch = np.empty_like(src)
-    for m in maps:
-        scratch = apply_walker_maps(out, (m,), scratch)
-        if scratch is src and not inplace:
-            scratch = np.empty_like(src)
-    if out.amps is src and not inplace:
-        out.amps = src.copy()
+    if not maps:
+        return state.copy()
+    out = StateVector(state.layout, state.amps)
+    apply_walker_maps(out, maps[:1], np.empty_like(state.amps))
+    apply_walker_maps(out, maps[1:], np.empty_like(state.amps))
     return out
 
 
@@ -509,8 +510,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def project_pauli(state: StateVector, word: PauliWord, sign: int,
-                  tol: float = 1e-12) -> tuple:
+def project_pauli(state: StateVector, word: PauliWord, sign: int) -> tuple:
     """Project onto the +/-1 eigenspace of a Hermitian involution.
 
     Returns (normalized post-projection state, pre-projection probability).
@@ -522,7 +522,7 @@ def project_pauli(state: StateVector, word: PauliWord, sign: int,
     moved = apply_pauli_word(state, word)
     amps = 0.5 * (state.amps + sign * moved.amps)
     prob = float(np.vdot(amps, amps).real)
-    if prob < tol:
+    if prob < BRANCH_TOL:
         raise ValueError(f"projection onto {sign:+d} eigenspace has probability {prob:.3e}")
     return StateVector(state.layout, amps / np.sqrt(prob)), prob
 
@@ -562,13 +562,13 @@ def measure_coin(state: StateVector, particle: int, *,
                  rng: Optional[np.random.Generator] = None,
                  forced: Optional[int] = None,
                  both_branches: bool = False,
-                 tol: float = 1e-12,
                  inplace: bool = False):
     """Projective Z-basis measurement of a walker's coin.
 
     Policies: seeded random (pass ``rng``), forced outcome, or both
     branches.  Both-branches returns [(bit, state, probability), ...] with
-    zero-probability branches dropped; the others return a single triple.
+    branches of probability at most ``BRANCH_TOL`` dropped; the others
+    return a single triple, and a forced outcome below it raises.
     With ``inplace`` the last outcome's state is ``state`` itself, and
     when two survive the first gets a new array; otherwise every outcome
     gets a new array and ``state`` is left as it was.
@@ -576,9 +576,9 @@ def measure_coin(state: StateVector, particle: int, *,
     p1 = coin_one_probability(state, particle)
     probs = {0: 1.0 - p1, 1: p1}
     if both_branches:
-        bits = [b for b in (0, 1) if probs[b] > tol]
+        bits = [b for b in (0, 1) if probs[b] > BRANCH_TOL]
     elif forced is not None:
-        if probs[forced] < tol:
+        if probs[forced] < BRANCH_TOL:
             raise ValueError(f"forced outcome {forced} has probability {probs[forced]:.3e}")
         bits = [forced]
     elif rng is None:

@@ -20,8 +20,6 @@ from . import engine, oracle
 from .engine import StateVector, V_SUCC, is_unitary
 from .pauli import DATA_PARTICLES, PauliWord, ROLES, q
 
-ATOL = 1e-12
-
 # Clockwise rotation on the vertex space, v = 2x + y.
 R_XY = np.zeros((4, 4), dtype=complex)
 for _v in range(4):
@@ -40,7 +38,7 @@ class CoinError:
             raise ValueError("coin error needs exactly four vertex blocks")
         for v, b in enumerate(self.blocks):
             m = np.asarray(b, dtype=complex)
-            if m.shape != (2, 2) or not is_unitary(m, ATOL):
+            if m.shape != (2, 2) or not is_unitary(m):
                 raise ValueError(f"coin error block at vertex v={v} is not a 2x2 unitary")
 
 
@@ -59,7 +57,7 @@ class ShiftError:
         if len(self.coeffs) != 2 or any(len(t) != 3 for t in self.coeffs):
             raise ValueError("shift error needs coefficient triples for both coin branches")
         for j in range(2):
-            if not is_unitary(self.branch_matrix(j), ATOL):
+            if not is_unitary(self.branch_matrix(j)):
                 raise ValueError(f"shift error branch j={j} is not unitary")
 
 

@@ -88,7 +88,7 @@ def extract_unitary(program: WalkProgram, inputs: Sequence[StateVector],
     a layout that parks walkers at b = 0 and the full layout gather the
     same terms in the same order, so they give bit-identical matrices
     whatever way the BLAS kernel splits a long dot product."""
-    if program.has_measurements():
+    if program.has_measurements:
         raise ValueError(f"extract_unitary needs a measurement-free program, got {program.name!r}")
     supports = [np.flatnonzero(o.amps) for o in outputs]
     cols = []

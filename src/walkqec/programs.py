@@ -16,6 +16,10 @@ barriers, measurements collapse each branch in place and a reset is an
 in-place swap of the ancilla's coin halves.  Every walk the codec runs
 is built here.
 
+Programs are immutable values: every step is frozen and every
+``CoinSpec`` is read-only, so a ``WalkProgram`` is itself the compile
+cache's key, and equal programs built twice share one entry.
+
 Each run covers only the walkers the program moves.  The slice keeps the
 walkers its Coin entries, LocalCoin, MeasureCoin and ResetAncilla steps
 act on (every walker when injections are given), and any other walker
@@ -39,8 +43,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import engine
-from .engine import (COIN_H, COIN_HP, COIN_S, COIN_X, COIN_Z, CoinSpec,
-                     Layout, StateVector, VERTEX_LABELS)
+from .engine import (BRANCH_TOL, COIN_H, COIN_HP, COIN_S, COIN_X, COIN_Z, CoinSpec,
+                     Layout, StateVector)
 from .pauli import ANCILLA_PARTICLES, DATA_PARTICLES, P1, P3, PEX
 
 
@@ -109,12 +113,18 @@ class InjectionPoint:
 
 @dataclass(frozen=True)
 class WalkProgram:
-    """A named step sequence.  Its content key and the walkers it acts on
-    are computed once per program object: its steps, and the coin specs
-    in them, must not change after construction."""
+    """A named tuple of steps, immutable like its steps and their coin
+    specs.  Its hash, its walkers and whether it measures are computed
+    once per program object."""
 
     name: str
     steps: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.steps)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def walkers(self) -> frozenset:
@@ -130,10 +140,6 @@ class WalkProgram:
         return frozenset(acted)
 
     @cached_property
-    def source(self) -> "_Source":
-        """The steps with their content key, the compile cache's key."""
-        return _Source(tuple(_step_key(s) for s in self.steps), self.steps)
-
     def has_measurements(self) -> bool:
         return any(isinstance(s, MeasureCoin) for s in self.steps)
 
@@ -185,36 +191,15 @@ _BARRIERS = (MeasureCoin, ResetAncilla, InjectionPoint)
 _NEIGHBOR = "neighbor"   # marker between walker products in a permutation's ops
 
 
-def _step_key(step) -> object:
-    """Hashable content of a step; CoinSpec itself hashes by identity."""
-    if isinstance(step, Coin):
-        return ("coin", tuple((p, v, u.tobytes())
-                              for (p, v), u in sorted(step.spec.entries.items())))
-    return step
-
-
-@dataclass(frozen=True)
-class _Source:
-    """A program's steps, hashed and compared by their content only."""
-
-    key: tuple
-    steps: tuple = field(compare=False)
-
-
+@lru_cache(maxsize=64)
 def compile_program(program: WalkProgram, layout: Layout) -> tuple:
     """The program as segments: WalkerMaps, SignedPermutation and barrier steps.
 
-    Compiled segments are cached per layout by program content, so
-    equal programs built twice share one entry.
+    Cached per (program, layout); equal programs share one entry.
     """
-    return _compiled(layout, program.source)
-
-
-@lru_cache(maxsize=64)
-def _compiled(layout: Layout, source: _Source) -> tuple:
     segments: list = []
     run: list = []
-    for step in source.steps:
+    for step in program.steps:
         if isinstance(step, _BARRIERS):
             segments += _fuse(run, layout)
             segments.append(step)
@@ -337,9 +322,6 @@ def _digit_permutation(by_slot: dict, slots: range) -> tuple:
 
 # -------------------------------------------------------------- executors
 
-BRANCH_TOL = 1e-12   # branch summing drops branches of at most this probability
-
-
 @dataclass
 class _Policy:
     """Measurement policy and injections of one run; executes barrier steps."""
@@ -372,8 +354,7 @@ class _Policy:
             br = parents.pop(0)
             results = engine.measure_coin(br.state, step.particle, rng=self.rng,
                                           forced=(self.forced or {}).get(step.tag),
-                                          both_branches=self.all_branches, tol=BRANCH_TOL,
-                                          inplace=True)
+                                          both_branches=self.all_branches, inplace=True)
             for bit, post, prob in results if self.all_branches else [results]:
                 nb = Branch(post, br.probability * prob, dict(br.outcomes), dict(br.last_bit))
                 nb.outcomes[step.tag] = bit
@@ -460,16 +441,16 @@ def interpret_program(state: StateVector, program: WalkProgram, **policy) -> lis
     for step in program.steps:
         if isinstance(step, Coin):
             for br in branches:
-                engine.apply_coin(br.state, step.spec, inplace=True)
+                br.state = engine.apply_coin(br.state, step.spec)
         elif isinstance(step, Shift):
             for br in branches:
-                engine.apply_shift(br.state, inplace=True)
+                br.state = engine.apply_shift(br.state)
         elif isinstance(step, Neighbor):
             for br in branches:
-                engine.apply_neighbor(br.state, inplace=True)
+                br.state = engine.apply_neighbor(br.state)
         elif isinstance(step, LocalCoin):
             for br in branches:
-                engine.apply_local_coin(br.state, step.particle, step.matrix, inplace=True)
+                br.state = engine.apply_local_coin(br.state, step.particle, step.matrix)
         else:
             branches = run.barrier(step, branches)
     return branches
@@ -477,7 +458,7 @@ def interpret_program(state: StateVector, program: WalkProgram, **policy) -> lis
 
 def run_unitary(state: StateVector, program: WalkProgram) -> StateVector:
     """Run a measurement-free program as a plain unitary map."""
-    if program.has_measurements():
+    if program.has_measurements:
         raise ValueError(f"program {program.name!r} contains measurements")
     return run_program(state, program)[0].state
 
@@ -488,7 +469,7 @@ def inverted(program: WalkProgram) -> WalkProgram:
     Shifts invert as three forward shifts; Neighbor is its own inverse;
     coin entries are conjugate-transposed.
     """
-    if program.has_measurements():
+    if program.has_measurements:
         raise ValueError("only measurement-free programs invert")
     steps: list = []
     for step in reversed(program.steps):
@@ -497,10 +478,8 @@ def inverted(program: WalkProgram) -> WalkProgram:
         elif isinstance(step, Neighbor):
             steps.append(Neighbor())
         elif isinstance(step, Coin):
-            spec = CoinSpec()
-            for (p, v), u in step.spec.entries.items():
-                spec.set(p, engine.LABEL_OF_V[v], np.asarray(u).conj().T)
-            steps.append(Coin(spec))
+            steps.append(Coin(CoinSpec({(p, engine.LABEL_OF_V[v]): u.conj().T
+                                        for (p, v), u in step.spec.entries.items()})))
         elif isinstance(step, LocalCoin):
             steps.append(LocalCoin.of(step.particle, step.matrix.conj().T, step.name + "+"))
         elif isinstance(step, InjectionPoint):
@@ -522,11 +501,7 @@ def _walk_iterations(spec: CoinSpec, count: int, with_neighbor: bool) -> list:
 
 
 def _ancilla_kick_spec(vertices: Sequence[str]) -> CoinSpec:
-    spec = CoinSpec()
-    for p in ANCILLA_PARTICLES:
-        for label in vertices:
-            spec.set(p, label, COIN_X)
-    return spec
+    return CoinSpec({(p, label): COIN_X for p in ANCILLA_PARTICLES for label in vertices})
 
 
 # Ancilla coin patterns for the three syndrome steps.  Which stabilizer a
@@ -604,11 +579,8 @@ _TRANSFORM_SLOTS = {0: (3, 4, 6), 2: (5, 6, 8)}
 
 
 def _transform_coin_spec(targets: Iterable[int], stage: int) -> CoinSpec:
-    spec = CoinSpec()
-    for p in targets:
-        for label, u in _TRANSFORM_STAGES[stage].items():
-            spec.set(p, label, u)
-    return spec
+    return CoinSpec({(p, label): u for p in targets
+                     for label, u in _TRANSFORM_STAGES[stage].items()})
 
 
 def build_basis_transform(targets: Iterable[int], frame: int = 0) -> WalkProgram:

@@ -184,7 +184,7 @@ class TestDataSliceReadout:
 
     def test_unparked_external_walker_raises(self):
         ses = encoded_session(0.8, 0.6j, layout=SIX)
-        engine.apply_local_coin(ses.state, pauli.PEX, engine.COIN_H, inplace=True)
+        ses.state = engine.apply_local_coin(ses.state, pauli.PEX, engine.COIN_H)
         with pytest.raises(ValueError, match="not parked"):
             logical_readout(ses)
 

@@ -7,8 +7,8 @@ import pytest
 from walkqec import codec, engine, errors, programs, verify
 from walkqec.engine import COIN_X, CoinSpec
 from walkqec.pauli import DATA_PARTICLES, P1, P3
-from walkqec.programs import (InjectionPoint, LocalCoin, MeasureCoin, SignedPermutation,
-                              WalkProgram, WalkerMaps, build_basis_transform,
+from walkqec.programs import (Coin, InjectionPoint, LocalCoin, MeasureCoin, Shift,
+                              SignedPermutation, WalkProgram, WalkerMaps, build_basis_transform,
                               build_cnot_coin_to_logical, build_cphase, build_encode,
                               build_full_cycle, build_gauge_measurement,
                               build_gauge_xx_measurement, build_gauge_zz_measurement,
@@ -284,19 +284,21 @@ class TestBranchPruning:
 class TestCache:
     def test_equal_programs_share_one_entry(self):
         first, second = middle_block(), middle_block()
-        assert first.steps[0].spec is not second.steps[0].spec
-        before = programs._compiled.cache_info()
+        a, b = first.steps[0].spec, second.steps[0].spec
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != CoinSpec.uniform(DATA_PARTICLES[:1], COIN_X)
+        before = compile_program.cache_info()
         segs = compile_program(first, SIX)
         assert compile_program(second, SIX) is segs
-        after = programs._compiled.cache_info()
+        after = compile_program.cache_info()
         assert after.currsize - before.currsize <= 1
         assert after.misses - before.misses <= 1
 
     def test_middle_block_check_compiles_once(self):
         verify.check_middle_block()
-        before = programs._compiled.cache_info()
+        before = compile_program.cache_info()
         verify.check_middle_block()
-        assert programs._compiled.cache_info().misses == before.misses
+        assert compile_program.cache_info().misses == before.misses
 
     def test_permutation_tables_shared_by_content(self):
         def perms(program):
@@ -310,12 +312,57 @@ class TestCache:
 
     def test_cache_is_bounded(self):
         lay1 = engine.Layout(1, False)
-        limit = programs._compiled.cache_info().maxsize
+        limit = compile_program.cache_info().maxsize
         for k in range(limit + 5):
             u = np.diag([1.0, np.exp(1j * (k + 1) / 100)])
             compile_program(WalkProgram("phase", (LocalCoin.of(0, u),)), lay1)
-        assert programs._compiled.cache_info().currsize <= limit
+        assert compile_program.cache_info().currsize <= limit
 
     def test_unknown_step_is_rejected(self):
         with pytest.raises(TypeError):
             compile_program(WalkProgram("bad", (InjectionPoint("x"), "shift")), FIVE)
+
+    def test_hit_does_no_per_step_work(self, monkeypatch):
+        """A cached program is looked up by its stored hash: a second run
+        neither hashes a step nor iterates the steps."""
+        steps = _CountingSteps(build_logical_t().steps)
+        program = WalkProgram(build_logical_t().name, steps)
+        state = codec.encoded_session(0.8, 0.6j, layout=SIX).state
+        programs.run_unitary(state, program)
+        hashed = []
+        for cls in (Shift, Coin):
+            monkeypatch.setattr(cls, "__hash__",
+                                lambda self, h=cls.__hash__: hashed.append(self) or h(self))
+        steps.iterations = 0
+        programs.run_unitary(state, program)
+        assert hashed == [] and steps.iterations == 0
+
+
+class _CountingSteps(tuple):
+    """A step tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestProgramsAreValues:
+    def test_caller_array_does_not_reach_the_program(self, rng):
+        u = engine.COIN_H.copy()
+        program = WalkProgram("mutated", (Coin(CoinSpec({(0, "00"): u})), Shift()))
+        st = random_state(FIVE, rng)
+        (before,) = run_program(st, program)
+        u[:] = engine.COIN_X
+        (compiled,) = run_program(st, program)
+        (reference,) = interpret_program(st, program)
+        assert np.max(np.abs(compiled.state.amps - reference.state.amps)) < 1e-12
+        assert np.max(np.abs(compiled.state.amps - before.state.amps)) < 1e-12
+
+    def test_entries_are_read_only(self):
+        spec = CoinSpec({(0, "00"): engine.COIN_H})
+        with pytest.raises(TypeError):
+            spec.entries[(1, 0)] = np.diag([1, 2])
+        with pytest.raises(ValueError, match="read-only"):
+            spec.entries[(0, 0)][0, 0] = 0

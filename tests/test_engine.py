@@ -58,20 +58,20 @@ class TestCoin:
 
     def test_vertex_conditioned_flip(self):
         st = init_state(FIVE, [(1, 0, "10")] + [(p, 0, "00") for p in (0, 2, 3, 4)])
-        spec = CoinSpec().set(1, "10", COIN_X)
+        spec = CoinSpec({(1, "10"): COIN_X})
         out = apply_coin(st, spec)
         expect = init_state(FIVE, [(1, 1, "10")] + [(p, 0, "00") for p in (0, 2, 3, 4)])
         assert fidelity(out, expect) == pytest.approx(1.0, abs=1e-14)
 
     def test_hadamard_superposition(self):
         st = all_at_origin(FIVE)
-        out = apply_coin(st, CoinSpec().set(0, "00", COIN_H))
+        out = apply_coin(st, CoinSpec({(0, "00"): COIN_H}))
         assert out.amps[0] == pytest.approx(1 / np.sqrt(2))
         assert out.amps[4] == pytest.approx(1 / np.sqrt(2))
 
     def test_non_unitary_entry_rejected(self):
         with pytest.raises(ValueError):
-            CoinSpec().set(0, "00", np.array([[1, 0], [0, 2]], dtype=complex))
+            CoinSpec({(0, "00"): np.array([[1, 0], [0, 2]], dtype=complex)})
 
     def test_named_constants_unitary(self):
         for u in (COIN_I, COIN_X, COIN_Z, COIN_H, COIN_HP, COIN_S, COIN_T):
@@ -294,11 +294,12 @@ class TestEveryWalkerSlot:
 
     def test_vertex_conditioned_coin(self, layout, particle, rng):
         st = random_state(layout, rng)
-        spec, u8 = CoinSpec(), np.zeros((8, 8), dtype=complex)
+        entries, u8 = {}, np.zeros((8, 8), dtype=complex)
         for label in engine.VERTEX_LABELS:
             u, v = errors._haar_2x2(rng), engine.V_OF_LABEL[label]
-            spec.set(particle, label, u)
+            entries[(particle, label)] = u
             u8[np.ix_([v, 4 + v], [v, 4 + v])] = u
+        spec = CoinSpec(entries)
         want = walker_map_reference(st, particle, u8)
         assert np.max(np.abs(apply_coin(st, spec).amps - want.amps)) < 1e-12
 
@@ -315,9 +316,8 @@ class TestEveryWalkerSlot:
 
     def test_vertex_conditioned_coin_as_walker_map(self, layout, particle, rng):
         st = random_state(layout, rng)
-        spec = CoinSpec()
-        for label in engine.VERTEX_LABELS:
-            spec.set(particle, label, errors._haar_2x2(rng))
+        spec = CoinSpec({(particle, label): errors._haar_2x2(rng)
+                         for label in engine.VERTEX_LABELS})
         (p, u8), = spec.walker_maps().items()
         assert p == particle
         got = walker_map_reference(st, particle, u8)
@@ -391,36 +391,27 @@ class TestEveryWalkerSlot:
 
     @staticmethod
     def wrapper_calls(layout, particle, rng) -> dict:
-        """Each wrapper over the walker-map kernel as (state, inplace) -> state."""
-        spec = CoinSpec().set(particle, "10", errors._haar_2x2(rng))
+        """Each wrapper over the walker-map kernel as state -> state."""
+        entries = {(particle, "10"): errors._haar_2x2(rng)}
         for p in layout.particles:   # one pass per walker, so the scratch swaps often
-            spec.set(p, "00", errors._haar_2x2(rng))
+            entries[(p, "00")] = errors._haar_2x2(rng)
+        spec = CoinSpec(entries)
         u = errors._haar_2x2(rng)
         u8, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         return {
-            "coin": lambda s, inplace: apply_coin(s, spec, inplace=inplace),
-            "empty coin": lambda s, inplace: apply_coin(s, CoinSpec(), inplace=inplace),
-            "local coin": lambda s, inplace: engine.apply_local_coin(
-                s, particle, u, inplace=inplace),
-            "walker unitary": lambda s, inplace: apply_particle_unitary(
-                s, particle, u8, inplace=inplace),
+            "coin": lambda s: apply_coin(s, spec),
+            "empty coin": lambda s: apply_coin(s, CoinSpec()),
+            "local coin": lambda s: engine.apply_local_coin(s, particle, u),
+            "walker unitary": lambda s: apply_particle_unitary(s, particle, u8),
         }
 
     def test_wrappers_leave_their_input_alone(self, layout, particle, rng):
         st = random_state(layout, rng)
         amps, before = st.amps, st.amps.tobytes()
         for name, call in self.wrapper_calls(layout, particle, rng).items():
-            out = call(st, False)
+            out = call(st)
             assert st.amps is amps and st.amps.tobytes() == before, name
             assert out is not st and out.amps is not amps, name
-
-    def test_inplace_wrappers_return_their_state(self, layout, particle, rng):
-        st = random_state(layout, rng)
-        for name, call in self.wrapper_calls(layout, particle, rng).items():
-            want = call(st, False)
-            got = st.copy()
-            assert call(got, True) is got, name
-            assert np.array_equal(got.amps, want.amps), name
 
 
 class TestSignedPermutation:
@@ -450,7 +441,7 @@ class TestMeasurement:
         assert fidelity(post, st) == pytest.approx(1.0)
 
     def test_plus_state_both_branches(self):
-        st = apply_coin(all_at_origin(FIVE), CoinSpec().set(0, "00", COIN_H))
+        st = apply_coin(all_at_origin(FIVE), CoinSpec({(0, "00"): COIN_H}))
         branches = measure_coin(st, 0, both_branches=True)
         assert len(branches) == 2
         assert all(p == pytest.approx(0.5) for _, _, p in branches)
@@ -461,7 +452,7 @@ class TestMeasurement:
             measure_coin(st, 0, forced=1)
 
     def test_seeded_reproducible(self):
-        st = apply_coin(all_at_origin(FIVE), CoinSpec().set(0, "00", COIN_H))
+        st = apply_coin(all_at_origin(FIVE), CoinSpec({(0, "00"): COIN_H}))
         bits = []
         for _ in range(2):
             rng = np.random.default_rng(11)

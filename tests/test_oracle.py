@@ -98,11 +98,9 @@ class TestExtraction:
 
     def test_strided_engine_matches_dense_composition(self, rng):
         # one full random walk step applied both ways on the data block
-        spec = engine.CoinSpec()
         h = engine.COIN_H
-        for p in (0, 2, 4):
-            for label in engine.VERTEX_LABELS[:2]:
-                spec.set(p, label, h)
+        spec = engine.CoinSpec({(p, label): h for p in (0, 2, 4)
+                                for label in engine.VERTEX_LABELS[:2]})
         vec = rng.normal(size=512) + 1j * rng.normal(size=512)
         vec /= np.linalg.norm(vec)
         st = engine.extend(FIVE, DATA_PARTICLES, vec)
