@@ -2,9 +2,10 @@
 
 Every command emits a machine-readable report (JSON, or CSV for sweeps)
 built from the checks in ``walkqec.verify``.  It exits 0 only if all of
-its assertions pass, 1 if a check fails and 3 on an internal error.
-Reports are deterministic for a fixed config apart from the timestamp
-field.
+its assertions pass, 1 if a check fails, 2 on a usage error (unknown
+logical gates and negative trial counts included) and 3 on an internal
+error.  Reports are deterministic for a fixed config apart from the
+timestamp field.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import pauli, verify
+from . import pauli, programs, verify
 
 TARGET_NAMES = {"P0": 0, "P2": 2, "P4": 4}
 
@@ -139,6 +140,17 @@ def cmd_verify_identities(args) -> int:
 # ---------------------------------------------------------------- logical-gates
 
 GATE_WORDS = ("H", "S", "Z", "T", "H H", "T T", "S S", "H T", "T T H", "H S T")
+LOGICAL_GATES = (*programs.LOGICAL_COIN_OPS, "T")
+
+
+def _gate_words(text: str) -> str:
+    """``--words`` as given, once every gate in it is a logical gate."""
+    for word in text.split(","):
+        for gate in word.split():
+            if gate not in LOGICAL_GATES:
+                raise argparse.ArgumentTypeError(
+                    f"unknown logical gate {gate!r}; pick from {', '.join(LOGICAL_GATES)}")
+    return text
 
 
 def cmd_logical_gates(args) -> int:
@@ -165,6 +177,13 @@ def cmd_logical_gates(args) -> int:
 
 # ------------------------------------------------------------------------ main
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative count, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkqec",
@@ -181,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_tables)
 
     p = sub.add_parser("error-sweep", help="correctability campaign over random errors")
-    p.add_argument("--trials", type=int, default=200, help="trials per family and target")
+    p.add_argument("--trials", type=_count, default=200, help="trials per family and target")
     p.add_argument("--family", choices=["coin", "shift", "pauli"], default=None)
     p.add_argument("--target", choices=list(TARGET_NAMES), default=None)
     p.add_argument("--monte-carlo", action="store_true",
@@ -192,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("logical-gates", help="logical gate words vs 2x2 composition")
-    p.add_argument("--words", type=str, default=None,
+    p.add_argument("--words", type=_gate_words, default=None,
                    help="comma-separated gate words, e.g. 'H,T T'")
     p.set_defaults(func=cmd_logical_gates)
     return parser

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, oracle
-from .engine import StateVector, V_SUCC, is_unitary
+from .engine import LABEL_OF_V, CoinSpec, StateVector, V_SUCC, is_unitary
 from .pauli import DATA_PARTICLES, PauliWord, ROLES, q
 
 # Clockwise rotation on the vertex space, v = 2x + y.
@@ -76,16 +76,15 @@ ErrorSpec = CoinError | ShiftError | PauliFlip
 
 
 def realize(spec: ErrorSpec) -> np.ndarray:
-    """Dense 8x8 unitary of an error spec, after validation."""
+    """Dense 8x8 unitary of an error spec, after validation.
+
+    A coin error's map is its ``CoinSpec``'s walker map, so a block
+    within ``ATOL`` of the identity is the exact identity, as in every
+    program coin."""
     spec.validate()
     if isinstance(spec, CoinError):
-        m = np.zeros((8, 8), dtype=complex)
-        for v in range(4):
-            b = np.asarray(spec.blocks[v], dtype=complex)
-            for ca in range(2):
-                for cb in range(2):
-                    m[4 * ca + v, 4 * cb + v] = b[ca, cb]
-        return m
+        coin = CoinSpec({(spec.target, LABEL_OF_V[v]): b for v, b in enumerate(spec.blocks)})
+        return coin.walker_maps().get(spec.target, np.eye(8, dtype=complex))
     if isinstance(spec, ShiftError):
         m = np.zeros((8, 8), dtype=complex)
         for j in range(2):

@@ -81,12 +81,6 @@ class PauliWord:
     def single(particle: int, role: str, letter: str, phase_pow: int = 0) -> "PauliWord":
         return PauliWord.from_letters({q(particle, role): letter}, phase_pow)
 
-    def letters(self) -> dict:
-        return dict(self.ops)
-
-    def letter(self, qubit: QubitId) -> str:
-        return dict(self.ops).get(qubit, "I")
-
     @property
     def phase(self) -> complex:
         return 1j ** self.phase_pow
@@ -103,15 +97,9 @@ class PauliWord:
     def is_hermitian(self) -> bool:
         return self.phase_pow in (0, 2)
 
-    def __mul__(self, other: "PauliWord") -> "PauliWord":
-        return pw_mul(self, other)
-
     def adjoint(self) -> "PauliWord":
         # Letters are Hermitian; only the phase conjugates.
         return PauliWord((-self.phase_pow) % 4, self.ops)
-
-    def negate(self) -> "PauliWord":
-        return PauliWord((self.phase_pow + 2) % 4, self.ops)
 
     def times_i(self, k: int = 1) -> "PauliWord":
         return PauliWord((self.phase_pow + k) % 4, self.ops)

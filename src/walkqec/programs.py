@@ -1,32 +1,34 @@
 """Walk-program compiler: each protocol becomes an explicit step sequence.
 
-A program is a list of steps over {Coin, Shift, Neighbor, LocalCoin,
-MeasureCoin, ResetAncilla, InjectionPoint}.  Coin/Shift/Neighbor steps are
-globally synchronous across walkers.  Structure is used for guarantees:
-transform blocks simply contain no Neighbor steps, which is how neighbor
-interactions are suppressed there.
+A program is a list of steps over {Coin, Shift, Neighbor, MeasureCoin,
+ResetAncilla, InjectionPoint}.  A Coin step is a vertex-conditioned coin
+on any set of walkers, one 2x2 unitary per (walker, vertex); a coin on
+one walker at every vertex is ``Coin(CoinSpec.uniform((p,), u))``.
+Coin/Shift/Neighbor steps are globally synchronous across walkers.
+Structure is used for guarantees: transform blocks simply contain no
+Neighbor steps, which is how neighbor interactions are suppressed there.
 
 ``run_program`` executes a program compiled into segments.  MeasureCoin,
 ResetAncilla and InjectionPoint are barriers.  Between them, each
-walker's Coin, LocalCoin and Shift steps fold into one 8x8 map; maps
-that are signed permutations fold, with the Neighbor steps, into one
-gather table, and the others are applied as walker maps.  A syndrome
-cycle of 101 steps runs as 10 array segments, a T gate as 5.  At the
-barriers, measurements collapse each branch in place and a reset is an
-in-place swap of the ancilla's coin halves.  Every walk the codec runs
-is built here.
+walker's Coin and Shift steps fold into one 8x8 map; maps that are
+signed permutations fold, with the Neighbor steps, into one gather
+table, and the others are applied as walker maps.  A syndrome cycle of
+101 steps runs as 10 array segments, a T gate as 5.  At the barriers,
+measurements collapse each branch in place and a reset is an in-place
+swap of the ancilla's coin halves.  Every walk the codec runs is built
+here.
 
 Programs are immutable values: every step is frozen and every
 ``CoinSpec`` is read-only, so a ``WalkProgram`` is itself the compile
 cache's key, and equal programs built twice share one entry.
 
 Each run covers only the walkers the program moves.  The slice keeps the
-walkers its Coin entries, LocalCoin, MeasureCoin and ResetAncilla steps
-act on (every walker when injections are given), and any other walker
-with a nonzero amplitude away from b = 0, found by an exact ``!= 0``
-scan.  The rest are parked (``engine.take_slice``): a Shift fixes b = 0
-and Neighbor is diagonal, so their amplitudes outside the slice are
-exactly 0.0 before and after the run, and extending each branch back
+walkers its Coin entries, MeasureCoin and ResetAncilla steps act on
+(every walker when injections are given), and any other walker with a
+nonzero amplitude away from b = 0, found by an exact ``!= 0`` scan.  The
+rest are parked (``engine.take_slice``): a Shift fixes b = 0 and
+Neighbor is diagonal, so their amplitudes outside the slice are exactly
+0.0 before and after the run, and extending each branch back
 (``engine.extend``) loses no weight.  On a freshly encoded six-walker
 state a T gate runs on 4,096 amplitudes and a transversal Clifford on
 512.  ``interpret_program`` runs the steps one at a time on the full
@@ -66,24 +68,6 @@ class Shift:
 class Neighbor:
     def describe(self) -> str:
         return "neighbor"
-
-
-@dataclass(frozen=True)
-class LocalCoin:
-    particle: int
-    u: tuple  # 2x2 as nested tuples, kept hashable
-    name: str = "U"
-
-    @staticmethod
-    def of(particle: int, u: np.ndarray, name: str = "U") -> "LocalCoin":
-        return LocalCoin(particle, tuple(map(tuple, np.asarray(u, dtype=complex))), name)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.u, dtype=complex)
-
-    def describe(self) -> str:
-        return f"local-coin P{self.particle} {self.name}"
 
 
 @dataclass(frozen=True)
@@ -128,14 +112,14 @@ class WalkProgram:
 
     @cached_property
     def walkers(self) -> frozenset:
-        """The walkers the steps act on: Coin entries, LocalCoin,
-        MeasureCoin and ResetAncilla.  Shift and Neighbor are not counted:
-        both fix a walker at b = 0."""
+        """The walkers the steps act on: those of Coin entries, MeasureCoin
+        and ResetAncilla.  Shift and Neighbor are not counted: both fix a
+        walker at b = 0."""
         acted = set()
         for step in self.steps:
             if isinstance(step, Coin):
                 acted.update(p for p, _ in step.spec.entries)
-            elif isinstance(step, (LocalCoin, MeasureCoin, ResetAncilla)):
+            elif isinstance(step, (MeasureCoin, ResetAncilla)):
                 acted.add(step.particle)
         return frozenset(acted)
 
@@ -204,7 +188,7 @@ def compile_program(program: WalkProgram, layout: Layout) -> tuple:
             segments += _fuse(run, layout)
             segments.append(step)
             run = []
-        elif isinstance(step, (Coin, Shift, Neighbor, LocalCoin)):
+        elif isinstance(step, (Coin, Shift, Neighbor)):
             run.append(step)
         else:
             raise TypeError(f"unknown step {step!r}")
@@ -224,8 +208,6 @@ def _walker_products(steps: list, layout: Layout) -> list:
             continue
         if isinstance(step, Coin):
             factors = step.spec.walker_maps()
-        elif isinstance(step, LocalCoin):
-            factors = {step.particle: np.kron(step.matrix, np.eye(4))}
         else:
             factors = dict.fromkeys(layout.particles, engine.SHIFT_MAP)
         for particle, m in factors.items():
@@ -247,7 +229,7 @@ def _as_signed_permutation(m: np.ndarray):
 
 
 def _fuse(steps: list, layout: Layout) -> list:
-    """Segments for a barrier-free run of Coin/Shift/Neighbor/LocalCoin steps.
+    """Segments for a barrier-free run of Coin/Shift/Neighbor steps.
 
     Walker maps that are signed permutations join the Neighbor steps in
     one SignedPermutation; the others become WalkerMaps segments.  Maps
@@ -448,9 +430,6 @@ def interpret_program(state: StateVector, program: WalkProgram, **policy) -> lis
         elif isinstance(step, Neighbor):
             for br in branches:
                 br.state = engine.apply_neighbor(br.state)
-        elif isinstance(step, LocalCoin):
-            for br in branches:
-                br.state = engine.apply_local_coin(br.state, step.particle, step.matrix)
         else:
             branches = run.barrier(step, branches)
     return branches
@@ -480,8 +459,6 @@ def inverted(program: WalkProgram) -> WalkProgram:
         elif isinstance(step, Coin):
             steps.append(Coin(CoinSpec({(p, engine.LABEL_OF_V[v]): u.conj().T
                                         for (p, v), u in step.spec.entries.items()})))
-        elif isinstance(step, LocalCoin):
-            steps.append(LocalCoin.of(step.particle, step.matrix.conj().T, step.name + "+"))
         elif isinstance(step, InjectionPoint):
             steps.append(step)
         else:
@@ -520,7 +497,7 @@ SYNDROME_PAIRS = {
 
 
 def _hadamard_brackets(steps: list) -> list:
-    pre = [LocalCoin.of(P1, COIN_H, "H"), LocalCoin.of(P3, COIN_H, "H")]
+    pre = [Coin(CoinSpec.uniform((p,), COIN_H)) for p in (P1, P3)]
     return pre + steps + list(pre)
 
 
@@ -663,7 +640,7 @@ def build_interaction_block() -> WalkProgram:
 def build_cphase() -> WalkProgram:
     """The CNOT block enclosed in Hadamards on the external coin and the
     transversal data coins."""
-    h_bracket = [LocalCoin.of(PEX, COIN_H, "H"),
+    h_bracket = [Coin(CoinSpec.uniform((PEX,), COIN_H)),
                  Coin(CoinSpec.uniform(DATA_PARTICLES, COIN_H))]
     cnot = build_cnot_coin_to_logical()
     steps = h_bracket + list(cnot.steps) + h_bracket
@@ -674,7 +651,8 @@ def build_cphase() -> WalkProgram:
 def build_encode() -> WalkProgram:
     """The encoder after the input coin: the CNOT, then H on the external
     coin, its measurement ("encode") and its re-parking at coin 0."""
-    steps = (LocalCoin.of(PEX, COIN_H, "H"), MeasureCoin(PEX, "encode"), ResetAncilla(PEX))
+    steps = (Coin(CoinSpec.uniform((PEX,), COIN_H)), MeasureCoin(PEX, "encode"),
+             ResetAncilla(PEX))
     return WalkProgram("encode", build_cnot_coin_to_logical().steps + steps)
 
 
@@ -737,5 +715,5 @@ def build_logical_t() -> WalkProgram:
     """The coin phase on the parked external walker between two CPhase
     walks.  The CPhase squares to 1 and conjugates Zc_pex into Zc_pex x D,
     so this is exp(-i pi/8 Zc_pex x D): exp(-i pi/8 D) on the data."""
-    t_coin = LocalCoin.of(PEX, np.diag(np.exp([-1j * T_THETA, 1j * T_THETA])), "T")
+    t_coin = Coin(CoinSpec.uniform((PEX,), np.diag(np.exp([-1j * T_THETA, 1j * T_THETA]))))
     return WalkProgram("logical[T]", build_cphase().steps + (t_coin,) + build_cphase().steps)

@@ -156,6 +156,17 @@ class TestUsage:
             cli.main(["error-sweep", "--family", "cosmic"])
         assert exc.value.code == 2
 
+    def test_unknown_gate_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["logical-gates", "--words", "H,X"])
+        assert exc.value.code == 2
+        assert "unknown logical gate 'X'" in capsys.readouterr().err
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["error-sweep", "--trials", "-3"])
+        assert exc.value.code == 2
+
     def test_internal_error_is_exit_3(self, capsys, monkeypatch):
         def broken():
             raise RuntimeError("simulated crash")

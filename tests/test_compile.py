@@ -7,13 +7,14 @@ import pytest
 from walkqec import codec, engine, errors, programs, verify
 from walkqec.engine import COIN_X, CoinSpec
 from walkqec.pauli import DATA_PARTICLES, P1, P3
-from walkqec.programs import (Coin, InjectionPoint, LocalCoin, MeasureCoin, Shift,
-                              SignedPermutation, WalkProgram, WalkerMaps, build_basis_transform,
-                              build_cnot_coin_to_logical, build_cphase, build_encode,
-                              build_full_cycle, build_gauge_measurement,
+from walkqec.programs import (Coin, InjectionPoint, MeasureCoin, Neighbor, ResetAncilla,
+                              Shift, SignedPermutation, WalkProgram, WalkerMaps,
+                              build_basis_transform, build_cnot_coin_to_logical, build_cphase,
+                              build_encode, build_full_cycle, build_gauge_measurement,
                               build_gauge_xx_measurement, build_gauge_zz_measurement,
-                              build_logical_clifford, build_logical_t, build_syndrome_step,
-                              compile_program, interpret_program, inverted, run_program)
+                              build_interaction_block, build_logical_clifford, build_logical_t,
+                              build_syndrome_step, compile_program, interpret_program, inverted,
+                              run_program)
 
 from conftest import random_state
 
@@ -99,8 +100,7 @@ PROGRAMS = {
     "inverse-cnot": inverted(build_cnot_coin_to_logical()),
     "inverse-cphase": inverted(build_cphase()),
 }
-ON_FIVE = [name for name, prog in PROGRAMS.items()
-           if not any(getattr(s, "particle", None) == engine.PEX for s in prog.steps)]
+ON_FIVE = [name for name, prog in PROGRAMS.items() if engine.PEX not in prog.walkers]
 
 
 class TestFusedEqualsReference:
@@ -315,7 +315,7 @@ class TestCache:
         limit = compile_program.cache_info().maxsize
         for k in range(limit + 5):
             u = np.diag([1.0, np.exp(1j * (k + 1) / 100)])
-            compile_program(WalkProgram("phase", (LocalCoin.of(0, u),)), lay1)
+            compile_program(WalkProgram("phase", (Coin(CoinSpec.uniform((0,), u)),)), lay1)
         assert compile_program.cache_info().currsize <= limit
 
     def test_unknown_step_is_rejected(self):
@@ -366,3 +366,31 @@ class TestProgramsAreValues:
             spec.entries[(1, 0)] = np.diag([1, 2])
         with pytest.raises(ValueError, match="read-only"):
             spec.entries[(0, 0)][0, 0] = 0
+
+
+# Every cached builder's program, and the inverse of each measurement-free one.
+BUILT = {name: prog for name, prog in PROGRAMS.items() if not name.startswith("inverse-")}
+BUILT["interaction"] = build_interaction_block()
+BUILT.update({f"inverse-{name}": inverted(prog) for name, prog in list(BUILT.items())
+              if not prog.has_measurements})
+
+
+class TestOneCoinStep:
+    """Every coin update is a Coin step: a coin on one walker at every
+    vertex is ``Coin(CoinSpec.uniform((p,), u))``."""
+
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_builders_use_only_the_step_set(self, name):
+        allowed = (Coin, Shift, Neighbor, MeasureCoin, ResetAncilla, InjectionPoint)
+        assert [s for s in BUILT[name].steps if type(s) not in allowed] == []
+
+    @pytest.mark.parametrize("layout", [FIVE, SIX], ids=["FIVE", "SIX"])
+    def test_one_walker_coin_compiles_to_kron(self, layout, rng):
+        for p in layout.particles:
+            u = errors._haar_2x2(rng)
+            program = WalkProgram("one-coin", (Coin(CoinSpec.uniform((p,), u)),))
+            (seg,) = compile_program(program, layout)
+            assert isinstance(seg, WalkerMaps)
+            ((particle, m),) = seg.maps
+            assert particle == p
+            assert np.array_equal(m, np.kron(u, np.eye(4)))
