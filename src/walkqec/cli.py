@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import pauli, programs, verify
+from . import codec, pauli, verify
 
 TARGET_NAMES = {"P0": 0, "P2": 2, "P4": 4}
 
@@ -140,7 +140,7 @@ def cmd_verify_identities(args) -> int:
 # ---------------------------------------------------------------- logical-gates
 
 GATE_WORDS = ("H", "S", "Z", "T", "H H", "T T", "S S", "H T", "T T H", "H S T")
-LOGICAL_GATES = (*programs.LOGICAL_COIN_OPS, "T")
+LOGICAL_GATES = tuple(codec.LOGICAL_GATES)
 
 
 def _gate_words(text: str) -> str:

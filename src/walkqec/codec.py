@@ -9,11 +9,15 @@ Every walk it runs, from encoding to the T gate, is one program from
 
 The axis frame is the Heisenberg-side bookkeeping for logical gates.
 Each axis is a real combination of Pauli words whose expectation yields
-one Bloch component.  Applying a gate conjugates the axes by the walk
-unitary actually executed and permutes them by the gate's ideal Bloch
-action, so the reported Bloch vector follows the ideal 2x2 composition
-exactly if and only if the walk implements the gate on the code algebra
-(which the operator-identity suite verifies independently).
+one Bloch component.  ``LOGICAL_GATES`` defines each logical gate once:
+its walk program, the conjugation that program performs on Pauli words,
+and the gate's ideal Bloch action as a 3x3 map.  Applying a gate runs
+the program and updates the axes in one step, ``AxisFrame.conjugate``:
+each new axis is the ideal map's combination of the conjugated old axes.
+So the reported Bloch vector follows the ideal 2x2 composition
+(``ideal_bloch_map``, kept independent of the table) exactly if and only
+if the walk implements the gate on the code algebra, which the
+operator-identity suite verifies independently.
 """
 
 from __future__ import annotations
@@ -111,75 +115,26 @@ class AxisFrame:
             "z": [(1.0, LOGICAL_Z)],
         }
 
-    @staticmethod
-    def _conj_terms(terms, conj: Callable[[PauliWord], PauliWord]):
-        # axis words are stored with phase +1; signs live in the coefficients
-        out = []
-        for coef, word in terms:
-            image = conj(word)
-            if image.phase_pow not in (0, 2):
-                raise AssertionError("axis word lost Hermiticity under conjugation")
-            sign = 1.0 if image.phase_pow == 0 else -1.0
-            out.append((coef * sign, PauliWord(0, image.ops)))
-        return out
+    def conjugate(self, conj: Callable[[PauliWord], list], rows: tuple) -> None:
+        """Heisenberg update: axis i becomes sum_j rows[i][j] conj(axis j).
 
-    def conjugate_clifford(self, gate: str) -> None:
-        """Axis update for a transversal coin Clifford (H, S or Z)."""
-        conj = {
-            "H": lambda w: pauli.conjugate_transversal(w, "H"),
-            "S": lambda w: pauli.conjugate_transversal(w, "ZS"),
-            "Z": lambda w: pw_mul(pw_mul(pauli.COIN_Z_REP, w), pauli.COIN_Z_REP),
-        }[gate]
-        x, y, z = self.axes["x"], self.axes["y"], self.axes["z"]
-        cx, cy, cz = (self._conj_terms(t, conj) for t in (x, y, z))
-        if gate == "H":        # (x, y, z) -> (z, -y, x)
-            self.axes = {"x": cz, "y": self._scale(cy, -1.0), "z": cx}
-        elif gate == "S":      # (x, y, z) -> (-y, x, z)
-            self.axes = {"x": self._scale(cy, -1.0), "y": cx, "z": cz}
-        elif gate == "Z":      # (x, y, z) -> (-x, -y, z)
-            self.axes = {"x": self._scale(cx, -1.0), "y": self._scale(cy, -1.0), "z": cz}
-
-    def conjugate_t_rotation(self, axis: PauliWord, theta: float) -> None:
-        """Axis update for the walk unitary exp(-i theta * axis), whose
-        ideal logical action is the Bloch rotation by 2*theta about z.
-
-        Conjugation of an anticommuting Hermitian word P gives
-        cos(2 theta) P - i sin(2 theta) (axis P); the product axis*P is
-        anti-Hermitian, so -i(axis P) is again a +1-phase word.
+        ``conj`` maps a Hermitian word to its image under the walk unitary,
+        a list of (factor, +1-phase word) terms, so the updated axes hold
+        +1-phase words; ``rows`` is the gate's ideal Bloch action.  Equal
+        words merge and terms of magnitude at most ``TERM_TOL`` are
+        dropped.
         """
-        def conj(terms):
-            out = []
-            for coef, word in terms:
-                if commutes(word, axis):
-                    out.append((coef, word))
-                    continue
-                prod = pw_mul(axis, word)
-                if prod.phase_pow not in (1, 3):
-                    raise AssertionError("rotation left the Hermitian ring")
-                sigma = 1.0 if prod.phase_pow == 1 else -1.0
-                out.append((coef * np.cos(2 * theta), word))
-                out.append((coef * np.sin(2 * theta) * sigma, PauliWord(0, prod.ops)))
-            return out
-
-        c, s = np.cos(2 * theta), np.sin(2 * theta)
-        x, y = self.axes["x"], self.axes["y"]
-        new_x = self._scale(x, c) + self._scale(y, -s)
-        new_y = self._scale(x, s) + self._scale(y, c)
-        self.axes = {"x": conj(new_x), "y": conj(new_y), "z": conj(self.axes["z"])}
-        self._tidy()
-
-    @staticmethod
-    def _scale(terms, factor):
-        return [(coef * factor, word) for coef, word in terms]
-
-    def _tidy(self) -> None:
-        for name, terms in self.axes.items():
+        old = [self.axes[name] for name in ("x", "y", "z")]
+        for name, row in zip(("x", "y", "z"), rows):
             acc: dict = {}
-            for coef, word in terms:
-                signed = coef * (1.0 if word.phase_pow == 0 else -1.0)
-                key = word.ops
-                acc[key] = acc.get(key, 0.0) + signed
-            self.axes[name] = [(c, PauliWord(0, ops)) for ops, c in acc.items() if abs(c) > TERM_TOL]
+            for r, terms in zip(row, old):
+                if not r:
+                    continue
+                for coef, word in terms:
+                    for factor, image in conj(word):
+                        acc[image.ops] = acc.get(image.ops, 0.0) + r * coef * factor
+            self.axes[name] = [(c, PauliWord(0, ops)) for ops, c in acc.items()
+                               if abs(c) > TERM_TOL]
 
     def readout(self, state: StateVector, frame: PauliFrame) -> LogicalReadout:
         """Frame-signed axis values, evaluated on the data walkers'
@@ -450,33 +405,70 @@ def measure_g(session: Session, *, forced: Optional[dict] = None,
     return sign, target
 
 
+def _hermitian(word: PauliWord) -> tuple:
+    """(sign, +1-phase word) of a Hermitian Pauli word."""
+    if word.phase_pow == 0:
+        return 1.0, word
+    if word.phase_pow != 2:
+        raise AssertionError("axis word lost Hermiticity under conjugation")
+    return -1.0, PauliWord(0, word.ops)
+
+
+def _transversal(gate: str) -> Callable[[PauliWord], list]:
+    """Conjugation by ``gate`` on every data coin."""
+    return lambda word: [_hermitian(pauli.conjugate_transversal(word, gate))]
+
+
+_T_COS, _T_SIN = np.cos(2 * T_THETA), np.sin(2 * T_THETA)
+
+
+def _t_rotation(word: PauliWord) -> list:
+    """Conjugation by exp(-i T_THETA T_AXIS).  A word P anticommuting with
+    the axis maps to cos(2 T_THETA) P - i sin(2 T_THETA) (T_AXIS P); the
+    product is anti-Hermitian, so -i(T_AXIS P) is again Hermitian."""
+    sign, plain = _hermitian(word)
+    if commutes(word, T_AXIS):
+        return [(sign, plain)]
+    sigma, image = _hermitian(pw_mul(T_AXIS, word).times_i(-1))
+    return [(sign * _T_COS, plain), (_T_SIN * sigma, image)]
+
+
+# Each logical gate once: its walk program, the conjugation that program
+# performs on Pauli words, and its ideal Bloch action (rows of the 3x3
+# map on (x, y, z)).  H, S and Z are one transversal coin step (S runs as
+# Z*S on the coins); T is the coin phase enclosed by the two CPhase walks,
+# exp(-i T_THETA T_AXIS), a rotation by 2 T_THETA = pi/4 about z.
+LOGICAL_GATES = {
+    "H": (lambda: programs.build_logical_clifford("H"), _transversal("H"),
+          ((0, 0, 1), (0, -1, 0), (1, 0, 0))),
+    "S": (lambda: programs.build_logical_clifford("S"), _transversal("ZS"),
+          ((0, -1, 0), (1, 0, 0), (0, 0, 1))),
+    "Z": (lambda: programs.build_logical_clifford("Z"), _transversal("Z"),
+          ((-1, 0, 0), (0, -1, 0), (0, 0, 1))),
+    "T": (lambda: programs.build_logical_t(), _t_rotation,
+          ((_T_COS, -_T_SIN, 0), (_T_SIN, _T_COS, 0), (0, 0, 1))),
+}
+
+
 def apply_logical_gate(session: Session, gate: str) -> Session:
-    """Apply one logical gate (H, S, Z, or T) by its walk program.
+    """Apply one logical gate of ``LOGICAL_GATES`` by its walk program and
+    conjugate the axes accordingly.
 
-    H, S and Z are single transversal coin steps; T is the coin-phase
-    enclosed by the two CPhase walks, which equals
-    exp(-i pi/8 Zc_pex x D) exactly and rotates the logical qubit about
-    its z axis by pi/4.  Axes are conjugated accordingly.
+    Raises ValueError, leaving the session untouched, for an unknown gate
+    or when the program acts on a walker the session's layout lacks (T
+    needs the external walker).
     """
-    if gate in ("H", "S", "Z"):
-        session.align()
-        prog = programs.build_logical_clifford(gate)
-        session.state = programs.run_unitary(session.state, prog)
-        session.axes.conjugate_clifford(gate)
-        return session
-    if gate == "T":
-        return logical_T(session)
-    raise ValueError(f"unknown logical gate {gate!r}")
-
-
-def logical_T(session: Session) -> Session:
-    """The pi/8 gate via the external walker: one run of
-    ``programs.build_logical_t``, exp(-i pi/8 D) on the data walkers."""
-    if not session.layout.with_external:
-        raise ValueError("the T gate requires the external walker")
+    if gate not in LOGICAL_GATES:
+        raise ValueError(f"unknown logical gate {gate!r}")
+    build, conj, rows = LOGICAL_GATES[gate]
+    prog = build()
+    missing = prog.walkers - set(session.layout.particles)
+    if missing:
+        raise ValueError(f"logical {gate} acts on walkers {sorted(missing)} "
+                         f"absent from the layout")
     session.align()
-    session.state = programs.run_unitary(session.state, programs.build_logical_t())
-    session.axes.conjugate_t_rotation(T_AXIS, T_THETA)
+    session.state = programs.run_unitary(session.state, prog)
+    session.axes.conjugate(conj, rows)
     return session
 
 

@@ -126,11 +126,3 @@ def program_matrix_on_particle(program: WalkProgram, layout: Layout,
     (checked by unitarity of the result)."""
     return basis_matrix(program, layout, [b << (3 * layout.slot(particle)) for b in range(8)])
 
-
-def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance, insensitive to a global phase on ``a``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    tr = np.trace(b.conj().T @ a)
-    phase = tr / abs(tr) if abs(tr) > 1e-12 else 1.0
-    return float(np.max(np.abs(a / phase - b)))

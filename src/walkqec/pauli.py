@@ -91,9 +91,6 @@ class PauliWord:
     def particles(self) -> tuple:
         return tuple(sorted({k.particle for k, _ in self.ops}))
 
-    def is_identity_letters(self) -> bool:
-        return not self.ops
-
     def is_hermitian(self) -> bool:
         return self.phase_pow in (0, 2)
 
@@ -306,18 +303,20 @@ def equivalent_mod_gauge(a: PauliWord, b: PauliWord) -> bool:
     return _GROUP_SPAN.contains(_symplectic(ratio))
 
 
-# Conjugation tables for the two transversal coin gates: letter -> (letter, i-power).
+# Conjugation tables for the transversal coin gates: letter -> (letter, i-power).
 _CONJ = {
     "H": {"X": ("Z", 0), "Z": ("X", 0), "Y": ("Y", 2)},
     "ZS": {"X": ("Y", 2), "Y": ("X", 0), "Z": ("Z", 0)},
+    "Z": {"X": ("X", 2), "Y": ("Y", 2), "Z": ("Z", 0)},
 }
 
 
 def conjugate_transversal(word: PauliWord, gate: str) -> PauliWord:
     """u p u^dagger for u = gate applied to the coin of each data walker.
 
-    ``gate`` is "H" (Hadamard) or "ZS" (Z followed by the coin phase gate);
-    these are the only transversal single-coin Cliffords the code uses.
+    ``gate`` is "H" (Hadamard), "ZS" (Z followed by the coin phase gate)
+    or "Z"; these are the only transversal single-coin Cliffords the code
+    uses.
     """
     table = _CONJ.get(gate)
     if table is None:

@@ -489,30 +489,26 @@ _KICK_ZZ = ("10", "11")   # s0/s2 step
 _KICK_ZY = ("11", "01")   # s1/s3 step
 _KICK_XX = ("10", "01")   # s4/s5 step (after basis transform) and gauge reads
 
+# Syndrome pair -> (the tags P1 and P3 record, the ancilla kick pattern).
 SYNDROME_PAIRS = {
-    "s0s2": ("s0", "s2"),
-    "s1s3": ("s1", "s3"),
-    "s4s5": ("s4", "s5"),
+    "s0s2": (("s0", "s2"), _KICK_ZZ),
+    "s1s3": (("s1", "s3"), _KICK_ZY),
+    "s4s5": (("s4", "s5"), _KICK_XX),
 }
 
 
-def _hadamard_brackets(steps: list) -> list:
-    pre = [Coin(CoinSpec.uniform((p,), COIN_H)) for p in (P1, P3)]
-    return pre + steps + list(pre)
-
-
-def _measure_and_reset(tag1: str, tag3: str) -> list:
-    return [
-        MeasureCoin(P1, tag1),
-        MeasureCoin(P3, tag3),
-        ResetAncilla(P1),
-        ResetAncilla(P3),
-    ]
+def _kickback_read(kick: Sequence[str], tag1: str, tag3: str) -> list:
+    """One phase-kickback read: H on the P1 and P3 coins, six walk
+    iterations with the ancillas' coins kicked at ``kick``, H again, then
+    P1 measured into ``tag1``, P3 into ``tag3``, and both reset."""
+    brackets = [Coin(CoinSpec.uniform((p,), COIN_H)) for p in (P1, P3)]
+    return (brackets + _walk_iterations(_ancilla_kick_spec(kick), 6, True) + brackets
+            + [MeasureCoin(P1, tag1), MeasureCoin(P3, tag3), ResetAncilla(P1), ResetAncilla(P3)])
 
 
 @lru_cache(maxsize=None)
 def build_syndrome_step(pair: str, start_shift: int = 0) -> WalkProgram:
-    """One phase-kickback read: H brackets around six walk iterations.
+    """One phase-kickback read of a pair of generators.
 
     ``pair`` is "s0s2", "s1s3" or "s4s5".  P1 records the first generator
     of the pair and P3 the second.  The s4/s5 step wraps the six
@@ -522,17 +518,10 @@ def build_syndrome_step(pair: str, start_shift: int = 0) -> WalkProgram:
     compiled in the shifted frame.  ``start_shift`` is the data walkers'
     displacement when the step begins, relevant only for s4/s5.
     """
-    tag1, tag3 = SYNDROME_PAIRS[pair]
-    if pair == "s0s2":
-        kick = _KICK_ZZ
-    elif pair == "s1s3":
-        kick = _KICK_ZY
-    elif pair == "s4s5":
-        kick = _KICK_XX
-    else:
+    if pair not in SYNDROME_PAIRS:
         raise ValueError(f"unknown syndrome pair {pair!r}")
-    middle = _hadamard_brackets(_walk_iterations(_ancilla_kick_spec(kick), 6, True))
-    steps = middle + _measure_and_reset(tag1, tag3)
+    tags, kick = SYNDROME_PAIRS[pair]
+    steps = _kickback_read(kick, *tags)
     if pair == "s4s5":
         opening = build_basis_transform(DATA_PARTICLES, frame=start_shift)
         closing = build_basis_transform(DATA_PARTICLES, frame=start_shift + 2)
@@ -656,6 +645,12 @@ def build_encode() -> WalkProgram:
     return WalkProgram("encode", build_cnot_coin_to_logical().steps + steps)
 
 
+def _gauge_read(tag: str) -> list:
+    """The gauge reads' kickback read between a pre and a post shift,
+    recording ``tag``:p1 and ``tag``:p3."""
+    return [Shift(), *_kickback_read(_KICK_XX, f"{tag}:p1", f"{tag}:p3"), Shift()]
+
+
 @lru_cache(maxsize=None)
 def build_gauge_zz_measurement() -> WalkProgram:
     """Read the Z-type gauge product via a pre/post shift and six iterations.
@@ -664,23 +659,14 @@ def build_gauge_zz_measurement() -> WalkProgram:
     product of the two outcomes is the (gZ0 gZ1 s0 s1)-type eigenvalue
     read.  The closing Shift returns the data walkers to where they began.
     """
-    steps: list = [Shift()]
-    steps += _hadamard_brackets(_walk_iterations(_ancilla_kick_spec(_KICK_XX), 6, True))
-    steps += _measure_and_reset("gzz:p1", "gzz:p3")
-    steps.append(Shift())
-    return WalkProgram("gauge-zz", tuple(steps))
+    return WalkProgram("gauge-zz", tuple(_gauge_read("gzz")))
 
 
 @lru_cache(maxsize=None)
 def build_gauge_xx_measurement() -> WalkProgram:
     """Same as the ZZ gauge read, enclosed by the three-walker transform."""
-    transform = build_basis_transform(DATA_PARTICLES)
-    zz = build_gauge_zz_measurement()
-    steps = list(transform.steps) + [
-        s if not isinstance(s, MeasureCoin) else MeasureCoin(s.particle, s.tag.replace("gzz", "gxx"))
-        for s in zz.steps
-    ] + list(transform.steps)
-    return WalkProgram("gauge-xx", tuple(steps))
+    transform = list(build_basis_transform(DATA_PARTICLES).steps)
+    return WalkProgram("gauge-xx", tuple(transform + _gauge_read("gxx") + transform))
 
 
 @lru_cache(maxsize=None)

@@ -160,7 +160,7 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["logical-gates", "--words", "H,X"])
         assert exc.value.code == 2
-        assert "unknown logical gate 'X'" in capsys.readouterr().err
+        assert "unknown logical gate 'X'; pick from H, S, Z, T" in capsys.readouterr().err
 
     def test_negative_trials_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

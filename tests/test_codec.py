@@ -9,7 +9,7 @@ from walkqec import codec, engine, errors, pauli, programs
 from walkqec.codec import (PauliFrame, apply_frame_physically,
                            apply_logical_gate, apply_word, bloch_fidelity, drop_external,
                            encode, encoded_session, ideal_bloch_map, inject_error,
-                           logical_T, logical_readout, measure_g, prepare_logical_zero,
+                           logical_readout, measure_g, prepare_logical_zero,
                            run_cycle, transcript, update_frame)
 from walkqec.pauli import (CRITERIA_G, GAUGES, GX0, GZ1, LOGICAL_X,
                            LOGICAL_Z, PEX, PauliWord, pw_mul, pw_product)
@@ -138,7 +138,8 @@ class TestEncode:
     def test_encode_and_t_leave_an_aliased_input_alone(self, zero_session_six):
         for ses, run in ((zero_session_six.clone(),
                           lambda s: encode(s, 0.8, 0.6j, forced_outcome=1)),
-                         (encoded_session(0.8, 0.6j, layout=SIX), logical_T)):
+                         (encoded_session(0.8, 0.6j, layout=SIX),
+                          lambda s: apply_logical_gate(s, "T"))):
             held, twin = ses.state, ses.clone()
             run(ses)
             assert ses.state is not held
@@ -424,7 +425,7 @@ class TestLogicalGates:
 
     def test_t_on_plus(self):
         ses = encoded_session(SQ2, SQ2, layout=SIX)
-        logical_T(ses)
+        apply_logical_gate(ses, "T")
         got = logical_readout(ses).bloch
         assert np.allclose(got, (np.cos(np.pi / 4), np.sin(np.pi / 4), 0), atol=1e-10)
 
@@ -438,7 +439,7 @@ class TestLogicalGates:
 
     def test_t_leaves_external_parked(self):
         ses = encoded_session(0.6, 0.8j, layout=SIX)
-        logical_T(ses)
+        apply_logical_gate(ses, "T")
         drop_external(ses)  # raises if the walker moved or got entangled
 
     def test_h_is_involution_on_states(self):
@@ -448,9 +449,17 @@ class TestLogicalGates:
         assert engine.fidelity(ses.state, start) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_requires_external(self):
-        ses = encoded_session(1.0, 0.0, layout=FIVE)
+        # displaced by a cycle and with conjugated axes, so an align or an
+        # axis update before the check would show
+        ses = run_cycle(apply_word(encoded_session(0.8, 0.6j, layout=FIVE), "H S"),
+                        all_branches=True)[0][1]
+        assert ses.displacement == 2
+        amps, axes = ses.state.amps.copy(), {k: list(v) for k, v in ses.axes.axes.items()}
         with pytest.raises(ValueError):
-            logical_T(ses)
+            apply_logical_gate(ses, "T")
+        assert ses.displacement == 2
+        assert np.array_equal(ses.state.amps, amps)
+        assert ses.axes.axes == axes
 
     def test_unknown_gate(self):
         ses = encoded_session(1.0, 0.0, layout=SIX)

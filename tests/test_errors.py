@@ -86,7 +86,7 @@ class TestStructureInvariants:
             coeff = np.trace(mat.conj().T @ u) / 8
             if abs(coeff) < 1e-12:
                 continue
-            if word.is_identity_letters():
+            if not word.ops:
                 continue
             correction = decode_lookup(syndrome_of(word))
             assert correction is not None, word.render()

@@ -5,7 +5,7 @@ import pytest
 
 from walkqec import engine, oracle, pauli, programs
 from walkqec.oracle import (codespace_basis, codespace_projector, dense_of,
-                            extract_unitary, operator_distance)
+                            extract_unitary)
 from walkqec.pauli import (DATA_PARTICLES, GZ0, GZ1, LOGICAL_X, LOGICAL_Z, PauliWord,
                            STABILIZERS, from_triples, pw_mul)
 
@@ -120,7 +120,3 @@ class TestExtraction:
         dense = np.kron(step, np.kron(step, step)) @ vec
         got = engine.restrict(out, DATA_PARTICLES).amps
         assert np.max(np.abs(got - dense)) < 1e-12
-
-    def test_operator_distance_phase_invariant(self):
-        u = np.diag([1, 1j]).astype(complex)
-        assert operator_distance(1j * u, u) < 1e-12

@@ -215,6 +215,11 @@ class TestTransversalConjugation:
         with pytest.raises(ValueError):
             conjugate_transversal(LOGICAL_Z, "T")
 
+    def test_z_row_is_conjugation_by_coin_z_rep(self):
+        for word in all_single_qubit_paulis() + [LOGICAL_X, LOGICAL_Y, LOGICAL_Z, *GAUGES]:
+            want = pw_mul(pw_mul(COIN_Z_REP, word), COIN_Z_REP)
+            assert conjugate_transversal(word, "Z") == want, word.render()
+
 
 class TestRendering:
     def test_canonical_text(self):

@@ -153,6 +153,10 @@ class TestSyndromeSteps:
         out = run_program(branches[0].state, build_syndrome_step("s1s3"), all_branches=True)
         assert out[0].outcomes["s1"] == 1
 
+    def test_unknown_pair_is_value_error(self):
+        with pytest.raises(ValueError, match="unknown syndrome pair 's9s9'"):
+            build_syndrome_step("s9s9")
+
     def test_no_excitation_reads_zero(self):
         st = all_at_origin(FIVE)
         branches = run_program(st, build_syndrome_step("s0s2"), all_branches=True)

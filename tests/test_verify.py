@@ -3,6 +3,7 @@ with the same results as on the full six-walker layout."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkqec import codec, engine, oracle, pauli, programs, verify
 from walkqec.pauli import DATA_PARTICLES, P1, P3, PEX
@@ -128,3 +129,10 @@ class TestSameAsFullSix:
                 codec.encoded_session(alpha, beta, layout=layout), word)).bloch
                 for layout in (CHECK, SIX)]
             assert got[0] == got[1]
+
+
+class TestGateWords:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.sampled_from(("H", "S", "Z", "T")), min_size=1, max_size=12))
+    def test_random_words_match_ideal_composition(self, gates):
+        assert verify.gate_word_deviation(" ".join(gates)) < 1e-8
