@@ -7,11 +7,14 @@ significant; the external walker, when present, is most significant.
 
 Every map on one walker runs on one kernel, ``apply_walker_maps``: an
 8x8 map as a matmul over the (above, 8, below) view, one pass over the
-array into a scratch buffer.  Compiled programs run on it and on
-``apply_signed_permutation`` (a gather times an int8 sign); the public
-coin, local-coin and walker-unitary operations are thin wrappers over
-it.  The shift is one flat gather and the neighbor interaction one
-masked negation, each a single pass per step.
+array into a scratch buffer.  A float64 map above slot 0 runs as one
+real product over the amplitudes' float64 view, (above, 8, 2 * below),
+with the same values as the complex product, bit for bit; complex maps
+and maps on slot 0 keep the complex product.  Compiled programs run on
+it and on ``apply_signed_permutation`` (a gather times an int8 sign);
+the public coin, local-coin and walker-unitary operations are thin
+wrappers over it.  The shift is one flat gather and the neighbor
+interaction one masked negation, each a single pass per step.
 
 The step operations return a new state and leave their input as it
 was; only ``measure_coin(inplace=True)`` and ``flip_coin`` write into
@@ -414,14 +417,15 @@ def _apply_maps(state: StateVector, maps: list) -> StateVector:
     """(particle, u8) maps through ``apply_walker_maps``, one pass each.
 
     The first pass reads the input's array and writes a new one, so the
-    input is left as it was; the later passes swap that array with a
-    second new one.  With no map the result is a copy.
+    input is left as it was; the later passes, if any, swap that array
+    with a second new one.  With no map the result is a copy.
     """
     if not maps:
         return state.copy()
     out = StateVector(state.layout, state.amps)
     apply_walker_maps(out, maps[:1], np.empty_like(state.amps))
-    apply_walker_maps(out, maps[1:], np.empty_like(state.amps))
+    if len(maps) > 1:
+        apply_walker_maps(out, maps[1:], np.empty_like(state.amps))
     return out
 
 
@@ -430,12 +434,18 @@ def apply_walker_maps(state: StateVector, maps, scratch: np.ndarray) -> np.ndarr
 
     Each pass writes ``scratch`` from ``state.amps`` and then swaps the
     two, so the state holds the result; the spare buffer is returned.
+    A float64 ``u8`` above slot 0 acts on the amplitudes' float64 view,
+    where each walker row holds the real and imaginary parts side by
+    side: one real product, with the same values as the complex one.
     """
     for particle, u8 in maps:
         below = 8 ** state.layout.slot(particle)
         if below == 1:
             # one (above x 8) @ (8 x 8) product instead of a batch of columns
             np.matmul(state.amps.reshape(-1, 8), u8.T, out=scratch.reshape(-1, 8))
+        elif u8.dtype == np.float64:
+            src = state.amps.view(np.float64).reshape(-1, 8, 2 * below)
+            np.matmul(u8, src, out=scratch.view(np.float64).reshape(src.shape))
         else:
             src = state.amps.reshape(-1, 8, below)
             np.matmul(u8, src, out=scratch.reshape(src.shape))

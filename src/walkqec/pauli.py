@@ -11,6 +11,7 @@ questions are GF(2) linear algebra, and no floating point is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 # Walker indices.  P1 and P3 are the syndrome ancillas, PEX the external
@@ -105,16 +106,10 @@ class PauliWord:
         """Canonical text form: phase, then per-walker (c x y) triples.
 
         Walkers appear in descending order; the three data walkers are
-        always shown so fixtures have a stable shape.
+        always shown so fixtures have a stable shape.  Memoized by value,
+        so equal words share one string.
         """
-        letters = dict(self.ops)
-        shown = sorted(set(DATA_PARTICLES) | {k.particle for k in letters}, reverse=True)
-        parts = [PHASE_STR[self.phase_pow]]
-        for p in shown:
-            triple = " ".join(letters.get(q(p, r), "I") for r in ROLES)
-            name = "PEX" if p == PEX else f"P{p}"
-            parts.append(f"({triple})_{{{name}}}")
-        return " ".join(parts)
+        return _render(self.phase_pow, self.ops)
 
     @staticmethod
     def parse(text: str) -> "PauliWord":
@@ -133,6 +128,18 @@ class PauliWord:
 
     def __str__(self) -> str:
         return self.render()
+
+
+@lru_cache(maxsize=1024)
+def _render(phase_pow: int, ops: tuple) -> str:
+    letters = dict(ops)
+    shown = sorted(set(DATA_PARTICLES) | {k.particle for k in letters}, reverse=True)
+    parts = [PHASE_STR[phase_pow]]
+    for p in shown:
+        triple = " ".join(letters.get(q(p, r), "I") for r in ROLES)
+        name = "PEX" if p == PEX else f"P{p}"
+        parts.append(f"({triple})_{{{name}}}")
+    return " ".join(parts)
 
 
 def pw_mul(a: PauliWord, b: PauliWord) -> PauliWord:

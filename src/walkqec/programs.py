@@ -12,7 +12,10 @@ Neighbor steps, which is how neighbor interactions are suppressed there.
 ResetAncilla and InjectionPoint are barriers.  Between them, each
 walker's Coin and Shift steps fold into one 8x8 map; maps that are
 signed permutations fold, with the Neighbor steps, into one gather
-table, and the others are applied as walker maps.  A syndrome cycle of
+table, and the others are applied as walker maps.  A walker map with no
+imaginary part is stored as a contiguous, read-only float64 8x8, which
+the kernel applies as one real product: every map of the syndrome cycle
+and of the CNOT is real.  A syndrome cycle of
 101 steps runs as 10 array segments, a T gate as 5.  At the barriers,
 measurements collapse each branch in place and a reset is an in-place
 swap of the ancilla's coin halves.  Every walk the codec runs is built
@@ -152,7 +155,8 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class WalkerMaps:
-    """One 8x8 map per walker, (particle, u8) pairs, applied in one pass each."""
+    """One 8x8 map per walker, (particle, u8) pairs, applied in one pass
+    each; a map with no imaginary part is held as float64."""
 
     maps: tuple
 
@@ -228,6 +232,16 @@ def _as_signed_permutation(m: np.ndarray):
     return tuple(cols.tolist()), tuple(int(v) for v in values.real)
 
 
+def _operand(m: np.ndarray) -> np.ndarray:
+    """A walker map as the kernel's operand: a contiguous, read-only
+    float64 copy when it has no imaginary part, the map itself otherwise."""
+    if m.imag.any():
+        return m
+    real = np.ascontiguousarray(m.real)
+    real.flags.writeable = False
+    return real
+
+
 def _fuse(steps: list, layout: Layout) -> list:
     """Segments for a barrier-free run of Coin/Shift/Neighbor steps.
 
@@ -245,7 +259,7 @@ def _fuse(steps: list, layout: Layout) -> list:
         for particle, m in sorted(product.items()):
             perm = _as_signed_permutation(m)
             if perm is None:
-                general.append((particle, m))
+                general.append((particle, _operand(m)))
             else:
                 perms.append((particle, perm))
         if perms and (ops or not general):

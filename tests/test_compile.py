@@ -6,7 +6,7 @@ import pytest
 
 from walkqec import codec, engine, errors, programs, verify
 from walkqec.engine import COIN_X, CoinSpec
-from walkqec.pauli import DATA_PARTICLES, P1, P3
+from walkqec.pauli import DATA_PARTICLES, P1, P3, PEX
 from walkqec.programs import (Coin, InjectionPoint, MeasureCoin, Neighbor, ResetAncilla,
                               Shift, SignedPermutation, WalkProgram, WalkerMaps,
                               build_basis_transform, build_cnot_coin_to_logical, build_cphase,
@@ -32,6 +32,12 @@ def shape(program, layout):
         else:
             out.append(type(seg).__name__)
     return out
+
+
+def operands(program, layout):
+    """(particle, map) pairs of the program's WalkerMaps segments, in order."""
+    return [pm for seg in compile_program(program, layout) if isinstance(seg, WalkerMaps)
+            for pm in seg.maps]
 
 
 def assert_same_branches(fused, reference):
@@ -394,3 +400,26 @@ class TestOneCoinStep:
             ((particle, m),) = seg.maps
             assert particle == p
             assert np.array_equal(m, np.kron(u, np.eye(4)))
+
+
+class TestRealOperands:
+    """A walker map with no imaginary part compiles to a contiguous,
+    read-only float64 operand; the others stay complex128."""
+
+    @pytest.mark.parametrize("program,layout", [
+        (build_full_cycle(0), FIVE), (build_full_cycle(1), FIVE),
+        (build_cnot_coin_to_logical(), SIX)], ids=["cycle0-FIVE", "cycle1-FIVE", "cnot-SIX"])
+    def test_real_maps_are_float64(self, program, layout):
+        maps = operands(program, layout)
+        assert maps
+        for _, m in maps:
+            assert m.dtype == np.float64
+            assert m.flags.c_contiguous and not m.flags.writeable
+
+    def test_t_coin_and_z_s_stay_complex(self):
+        complex_walkers = [p for p, m in operands(build_logical_t(), SIX)
+                           if m.dtype == np.complex128]
+        assert complex_walkers == [PEX]
+        zs = operands(build_logical_clifford("S"), SIX)
+        assert [p for p, _ in zs] == list(DATA_PARTICLES)
+        assert all(m.dtype == np.complex128 for _, m in zs)

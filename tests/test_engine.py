@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from walkqec import engine, errors, oracle
+from walkqec import engine, errors, oracle, verify
 from walkqec.engine import (COIN_H, COIN_HP, COIN_I, COIN_S, COIN_T, COIN_X,
                             COIN_Z, CoinSpec, Layout, all_at_origin,
                             apply_coin, apply_neighbor, apply_particle_unitary,
@@ -412,6 +412,25 @@ class TestEveryWalkerSlot:
             out = call(st)
             assert st.amps is amps and st.amps.tobytes() == before, name
             assert out is not st and out.amps is not amps, name
+
+
+REAL_OPERAND_SLOTS = EVERY_WALKER + [(verify.CHECK_LAYOUT, p)
+                                     for p in verify.CHECK_LAYOUT.particles]
+
+
+@pytest.mark.parametrize("layout,particle", REAL_OPERAND_SLOTS,
+                         ids=[f"{'CHECK' if lay.parked else 'SIX' if lay.with_external else 'FIVE'}"
+                              f"-P{p}" for lay, p in REAL_OPERAND_SLOTS])
+def test_real_operand_pass_equals_the_complex_one(layout, particle, rng):
+    """A float64 map runs through the amplitudes' float64 view (above slot
+    0) and gives the complex-operand pass's values, bit for bit."""
+    st = random_state(layout, rng)
+    u8 = rng.normal(size=(8, 8))
+    real, cplx = st.copy(), st.copy()
+    engine.apply_walker_maps(real, [(particle, u8)], np.empty_like(st.amps))
+    engine.apply_walker_maps(cplx, [(particle, u8.astype(complex))], np.empty_like(st.amps))
+    assert np.array_equal(real.amps, cplx.amps)
+    assert np.max(np.abs(real.amps - walker_map_reference(st, particle, u8).amps)) < 1e-12
 
 
 class TestSignedPermutation:

@@ -228,3 +228,11 @@ class TestRendering:
     def test_parse_round_trip(self):
         for w in list(STABILIZERS) + list(GAUGES) + [LOGICAL_Y, PauliWord.identity()]:
             assert PauliWord.parse(w.render()) == w
+
+    def test_equal_words_share_one_string(self):
+        fixtures = (list(STABILIZERS) + list(GAUGES) + [LOGICAL_X, LOGICAL_Y, LOGICAL_Z]
+                    + correctable_flips() + all_single_qubit_paulis())
+        for w in fixtures:
+            again = PauliWord.parse(w.render())
+            assert again == w and again is not w
+            assert again.render() is w.render()
