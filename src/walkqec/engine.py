@@ -23,10 +23,15 @@ copies, and equal specs compare and hash equal, so a program holding
 them can key the compile cache.
 
 Measurement and Pauli-word kernels act on strided views of the
-amplitude array.  ``measure_coin(inplace=True)`` collapses into the
-input's array, dividing only the kept coin half; ``flip_coin`` is an
-exact coin X that swaps the two coin halves in place.  Pauli-word
-factors are cached per (layout, word) with read-only sign tensors.
+amplitude array.  A coin measurement scales only the kept coin half, by
+1/sqrt(prob) on the amplitudes' float64 view: a complex division's
+values, up to the sign of a zero.  A certain outcome makes no pass over
+that half, and ``measure_coin(inplace=True)`` collapses into the
+input's array.  ``flip_coin``, the ancilla reset, is an exact coin X in
+place: it swaps the two coin halves, or, when the coin-0 half is all
++0.0 bits (as after a collapse onto 1), moves coin 1 to coin 0 and
+zeroes coin 1.  Pauli-word factors are cached per (layout, word) with
+read-only sign tensors.
 
 A walker is parked at b = 0 (coin 0, vertex 00).  A ``Layout`` can park
 walkers: they are held at b = 0 and left out of the packed index, so its
@@ -56,7 +61,7 @@ import numpy as np
 
 from .pauli import PEX, PauliWord
 
-ATOL = 1e-12
+ATOL = 1e-12          # absolute per entry: each np.allclose here passes rtol=0
 PARKED_TOL = 1e-12    # weight a restriction may leave outside its slice
 BRANCH_TOL = 1e-12    # an outcome of at most this probability is dropped or refused
 
@@ -90,7 +95,7 @@ def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
-    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=ATOL))
+    return bool(np.allclose(u.conj().T @ u, np.eye(u.shape[0]), rtol=0, atol=ATOL))
 
 
 @dataclass(frozen=True)
@@ -334,7 +339,7 @@ class CoinSpec:
             u = np.array(u, dtype=complex)
             if u.shape != (2, 2) or not is_unitary(u):
                 raise ValueError(f"coin entry for ({particle}, {vertex}) is not a 2x2 unitary")
-            if not np.allclose(u, COIN_I, atol=ATOL):
+            if not np.allclose(u, COIN_I, rtol=0, atol=ATOL):
                 u.flags.writeable = False
                 kept[(particle, V_OF_LABEL[vertex])] = u
         self.entries = MappingProxyType(kept)
@@ -375,7 +380,7 @@ class CoinSpec:
 def _coin_name(u: np.ndarray) -> str:
     for name, ref in (("X", COIN_X), ("Z", COIN_Z), ("H", COIN_H), ("H'", COIN_HP),
                       ("S", COIN_S), ("T", COIN_T), ("I", COIN_I)):
-        if np.allclose(u, ref, atol=ATOL):
+        if np.allclose(u, ref, rtol=0, atol=ATOL):
             return name
     return "U"
 
@@ -549,21 +554,48 @@ def coin_one_probability(state: StateVector, particle: int) -> float:
     return float(np.real(np.vdot(a, a)))
 
 
+def _coin_halves(state: StateVector, particle: int, dtype) -> np.ndarray:
+    """The amplitudes' ``dtype`` view (float64 or uint64) as (above, coin,
+    rest): the two coin halves of one walker, two numbers per amplitude."""
+    return state.amps.view(dtype).reshape(-1, 2, 8 ** (state.layout.slot(particle) + 1))
+
+
 def flip_coin(state: StateVector, particle: int) -> StateVector:
-    """Exact coin X on one walker, in place: its two coin halves swap."""
+    """Exact coin X on one walker, in place: its two coin halves swap.
+
+    When the coin-0 half is all +0.0 bits, as after a collapse onto 1, the
+    swap is a move: the coin-1 half goes to coin 0 and coin 1 is zeroed.
+    The check reads the bits, so a -0.0 takes the swap and keeps its sign.
+    """
     view = state.coin_view(particle)
-    held = view[:, 0].copy()
-    view[:, 0] = view[:, 1]
-    view[:, 1] = held
+    if _coin_halves(state, particle, np.uint64)[:, 0].any():
+        held = view[:, 0].copy()
+        view[:, 0] = view[:, 1]
+        view[:, 1] = held
+    else:
+        view[:, 0] = view[:, 1]
+        view[:, 1] = 0.0
     return state
 
 
 def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float,
                    out: StateVector) -> StateVector:
     """Write the post-measurement state into ``out``, which may be ``state``:
-    the kept coin half divided by sqrt(prob), the other half zeroed."""
-    src, dst = state.coin_view(particle), out.coin_view(particle)
-    np.divide(src[:, outcome], np.sqrt(prob), out=dst[:, outcome])
+    the kept coin half scaled by 1/sqrt(prob), the other half zeroed.
+
+    The scale runs on the amplitudes' float64 view.  numpy divides a
+    complex by a real as (re + im*0) * (1/c), so the values are a complex
+    division's; only the sign of a zero can differ.  A certain outcome
+    (scale exactly 1.0) makes no pass over the kept half, and copies it
+    only when ``out`` is a new array.
+    """
+    scale = 1.0 / np.sqrt(prob)
+    src = _coin_halves(state, particle, np.float64)
+    dst = _coin_halves(out, particle, np.float64)
+    if scale != 1.0:
+        np.multiply(src[:, outcome], scale, out=dst[:, outcome])
+    elif out is not state:
+        dst[:, outcome] = src[:, outcome]
     dst[:, 1 - outcome] = 0.0
     return out
 

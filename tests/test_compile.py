@@ -256,6 +256,34 @@ class TestSlice:
         assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
 
 
+def off_park_residue(state):
+    """Largest amplitude with P1 or P3 anywhere but b = 0."""
+    parked = engine.extend(state.layout, DATA_PARTICLES,
+                           engine.take_slice(state, DATA_PARTICLES).amps)
+    return np.max(np.abs(state.amps - parked.amps))
+
+
+class TestAncillasParkExactly:
+    """A branch-summed cycle measures and resets P1 and P3, and leaves them
+    at b = 0 with exactly 0.0 amplitude anywhere else, in every branch."""
+
+    @pytest.mark.parametrize("family", ["coin", "shift"])
+    def test_every_branch_of_both_parities(self, family, rng):
+        residues, parities = [], set()
+        for target in DATA_PARTICLES:
+            for _ in range(3):
+                ses = encoded_random(rng)
+                codec.inject_error(ses, errors.sample_random_error(rng, family, target))
+                for _, first in codec.run_cycle(ses, all_branches=True):
+                    residues.append(off_park_residue(first.state))
+                    codec.inject_error(first, errors.sample_random_error(rng, family, target))
+                    for _, second in codec.run_cycle(first, all_branches=True):
+                        residues.append(off_park_residue(second.state))
+                        parities.add(tuple(c.parity for c in second.history.cycles))
+        assert parities == {(0, 1)}
+        assert max(residues) == 0.0
+
+
 class TestBranchPruning:
     """A seeded or forced run keeps its branch however small; only branch
     summing prunes."""

@@ -80,6 +80,15 @@ class TestCoin:
         assert np.allclose(COIN_S, np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)]))
         assert np.allclose(COIN_T, np.diag([np.exp(1j * np.pi / 8), np.exp(-1j * np.pi / 8)]))
 
+    def test_tolerances_are_absolute_on_the_diagonal(self):
+        """ATOL is the whole tolerance: numpy's default rtol of 1e-5 would
+        let these through."""
+        assert not engine.is_unitary(1.000004 * COIN_I)
+        near_i = np.diag([1, np.exp(5e-6j)])
+        assert CoinSpec({(0, "00"): near_i}).describe() == "P0@00:U"
+        assert CoinSpec({(0, "00"): COIN_Z @ near_i}).describe() == "P0@00:U"
+        assert CoinSpec({(0, "00"): np.diag([1, np.exp(1e-13j)])}).is_identity()
+
 
 class TestShift:
     def test_coin_one_advances(self):
@@ -414,13 +423,12 @@ class TestEveryWalkerSlot:
             assert out is not st and out.amps is not amps, name
 
 
-REAL_OPERAND_SLOTS = EVERY_WALKER + [(verify.CHECK_LAYOUT, p)
-                                     for p in verify.CHECK_LAYOUT.particles]
+EVERY_SLOT = EVERY_WALKER + [(verify.CHECK_LAYOUT, p) for p in verify.CHECK_LAYOUT.particles]
+EVERY_SLOT_IDS = [f"{'CHECK' if lay.parked else 'SIX' if lay.with_external else 'FIVE'}-P{p}"
+                  for lay, p in EVERY_SLOT]
 
 
-@pytest.mark.parametrize("layout,particle", REAL_OPERAND_SLOTS,
-                         ids=[f"{'CHECK' if lay.parked else 'SIX' if lay.with_external else 'FIVE'}"
-                              f"-P{p}" for lay, p in REAL_OPERAND_SLOTS])
+@pytest.mark.parametrize("layout,particle", EVERY_SLOT, ids=EVERY_SLOT_IDS)
 def test_real_operand_pass_equals_the_complex_one(layout, particle, rng):
     """A float64 map runs through the amplitudes' float64 view (above slot
     0) and gives the complex-operand pass's values, bit for bit."""
@@ -431,6 +439,75 @@ def test_real_operand_pass_equals_the_complex_one(layout, particle, rng):
     engine.apply_walker_maps(cplx, [(particle, u8.astype(complex))], np.empty_like(st.amps))
     assert np.array_equal(real.amps, cplx.amps)
     assert np.max(np.abs(real.amps - walker_map_reference(st, particle, u8).amps)) < 1e-12
+
+
+def collapse_reference(state, particle, bit, prob):
+    """The collapse as a complex division of the kept coin half."""
+    want = np.zeros_like(state.amps)
+    np.divide(state.coin_view(particle)[:, bit], np.sqrt(prob),
+              out=want.reshape(state.coin_view(particle).shape)[:, bit])
+    return want
+
+
+def swap_reference(state, particle):
+    """Coin X as an explicit swap of the two coin halves."""
+    view = state.coin_view(particle)
+    return np.stack([view[:, 1], view[:, 0]], axis=1).reshape(-1)
+
+
+@pytest.mark.parametrize("layout,particle", EVERY_SLOT, ids=EVERY_SLOT_IDS)
+class TestBarrierKernels:
+    """Coin collapse and ancilla reset, slot by slot, in place and not."""
+
+    def test_collapse_equals_complex_division(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        for inplace in (False, True):
+            mine = st.copy()
+            for bit, post, prob in measure_coin(mine, particle, both_branches=True,
+                                                inplace=inplace):
+                assert np.array_equal(post.amps, collapse_reference(st, particle, bit, prob))
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_certain_outcome_keeps_its_half_bit_for_bit(self, layout, particle, bit, rng):
+        """An outcome of probability exactly 1.0 keeps its half as it is,
+        -0.0 included, in place or copied into a new array."""
+        st = random_state(layout, rng)
+        view = st.coin_view(particle)
+        view[:, 1 - bit] = 0.0
+        if bit:   # the coin-1 weight is exactly 1.0 for one amplitude of modulus 1
+            view[:, 1] = 0.0
+            view[0, 1, 0, 0] = -1j
+        view[:, bit].real[..., ::3] = -0.0
+        kept = view[:, bit].tobytes()
+        for inplace in (False, True):
+            mine = st.copy()
+            got, post, prob = measure_coin(mine, particle, forced=bit, inplace=inplace)
+            assert (got, prob) == (bit, 1.0)
+            assert (post is mine) == inplace
+            assert post.coin_view(particle)[:, bit].tobytes() == kept
+            assert not post.coin_view(particle)[:, 1 - bit].view(np.uint64).any()
+
+    def test_flip_of_a_random_state(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        want = engine.apply_local_coin(st, particle, COIN_X)
+        assert engine.flip_coin(st, particle).amps.tobytes() == want.amps.tobytes()
+
+    def test_flip_after_a_collapse_onto_one(self, layout, particle, rng):
+        _, st, _ = measure_coin(random_state(layout, rng), particle, forced=1)
+        want = engine.apply_local_coin(st, particle, COIN_X)
+        assert engine.flip_coin(st, particle).amps.tobytes() == want.amps.tobytes()
+
+    def test_flip_keeps_negative_zeros(self, layout, particle, rng):
+        """A coin-0 half of -0.0 is not all +0.0 bits, so it takes the swap.
+        The complex product rounds -0.0 to +0.0, so it matches in value."""
+        st = random_state(layout, rng)
+        st.coin_view(particle)[:, 0] = complex(-0.0, -0.0)
+        want = swap_reference(st, particle)
+        by_value = engine.apply_local_coin(st, particle, COIN_X)
+        got = engine.flip_coin(st, particle)
+        assert got.amps.tobytes() == want.tobytes()
+        assert np.signbit(got.coin_view(particle)[:, 1].view(np.float64)).all()
+        assert np.array_equal(got.amps, by_value.amps)
 
 
 class TestSignedPermutation:

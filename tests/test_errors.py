@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from walkqec import engine, errors, oracle
+from walkqec import codec, engine, errors, oracle
 from walkqec.errors import (CoinError, PauliFlip, R_XY, ShiftError, dumps,
                             from_json, inject, loads, realize,
                             sample_random_error, to_json)
@@ -136,6 +136,16 @@ class TestInjection:
         st = random_state(FIVE, rng)
         out = inject(st, ShiftError(((1, 0, 0), (1, 0, 0)), 0))
         assert np.max(np.abs(out.amps - st.amps)) < 1e-12
+
+    def test_small_coherent_coin_error_is_applied(self):
+        """A 5e-6 phase is an error, not an identity to within tolerance."""
+        ses = codec.encoded_session(0.8, 0.6j)
+        before = ses.state.copy()
+        phase = np.diag([1, np.exp(5e-6j)])
+        codec.inject_error(ses, CoinError((phase,) * 4, 2))
+        want = engine.apply_local_coin(before, 2, phase)
+        assert np.array_equal(ses.state.amps, want.amps)
+        assert np.max(np.abs(ses.state.amps - before.amps)) > 1e-7
 
     def test_injection_preserves_norm(self, rng):
         st = random_state(FIVE, rng)
