@@ -65,13 +65,10 @@ class SyndromeHistory:
     def previous_raw(self) -> tuple:
         return self.cycles[-1].raw if self.cycles else self.references
 
-    def next_parity(self) -> int:
-        return len(self.cycles) % 2
-
-    def append(self, raw: tuple, parity: Optional[int] = None) -> CycleRecord:
+    def append(self, raw: tuple, parity: int) -> CycleRecord:
         prev = self.previous_raw()
         m = tuple(0 if a == b else 1 for a, b in zip(raw, prev))
-        rec = CycleRecord(raw, m, self.next_parity() if parity is None else parity)
+        rec = CycleRecord(raw, m, parity)
         self.cycles.append(rec)
         return rec
 
@@ -282,21 +279,6 @@ def inject_error(session: Session, spec) -> Session:
     return session
 
 
-def drop_external(session: Session) -> Session:
-    """Discard the external walker when it is parked at coin 0, vertex 00;
-    raises (``engine.restrict``) when it is not.
-
-    The parked walker never fires the external interaction, so syndrome
-    cycles are unaffected; dropping it shrinks the state by 8x.
-    """
-    layout = session.layout
-    if not layout.with_external:
-        return session
-    session.align()
-    session.state = engine.restrict(session.state, range(layout.num_nested))
-    return session
-
-
 def encoded_session(alpha: complex, beta: complex, *,
                     layout: Layout = FIVE,
                     rng: Optional[np.random.Generator] = None) -> Session:
@@ -327,20 +309,30 @@ def run_cycle(session: Session, *, forced: Optional[dict] = None,
     list of (probability, session) branches.
     """
     parity = 0 if session.displacement % 4 == 0 else 1
-    prog = programs.build_full_cycle(parity)
-    branches = programs.run_program(
-        session.state, prog, rng=session.rng, forced=forced, all_branches=all_branches)
     results = []
-    for br in branches:
-        target = session if not all_branches else session._around(br.state)
-        target.state = br.state
+    for br, target in _branch_sessions(session, programs.build_full_cycle(parity),
+                                       forced, all_branches):
         target.displacement = (target.displacement + 2) % 4
         raw = tuple(1 - 2 * br.outcomes[f"s{i}"] for i in range(6))
-        target.history.append(raw, parity=parity)
+        target.history.append(raw, parity)
         results.append((br.probability, target))
     if all_branches:
         return results
     return results[0][1]
+
+
+def _branch_sessions(session: Session, program: programs.WalkProgram,
+                     forced: Optional[dict], all_branches: bool) -> list:
+    """(branch, session) pairs of ``program`` run on the session's state:
+    the session itself under a seeded or forced policy, a copy of its
+    records around each branch's state with ``all_branches``."""
+    branches = programs.run_program(session.state, program, rng=session.rng,
+                                    forced=forced, all_branches=all_branches)
+    if all_branches:
+        return [(br, session._around(br.state)) for br in branches]
+    (br,) = branches
+    session.state = br.state
+    return [(br, session)]
 
 
 def update_frame(session: Session) -> PauliFrame:
@@ -391,13 +383,10 @@ def measure_g(session: Session, *, forced: Optional[dict] = None,
         raise ValueError("measure_g needs a completed syndrome cycle for the s4 eigenvalue")
     session.align()
     e4 = session.history.current_eigenvalue(4)
-    branches = programs.run_program(session.state, programs.build_gauge_measurement(),
-                                    rng=session.rng, forced=forced, all_branches=all_branches)
     results = []
-    for br in branches:
+    for br, target in _branch_sessions(session, programs.build_gauge_measurement(),
+                                       forced, all_branches):
         sign = e4 * math.prod(1 - 2 * bit for bit in br.outcomes.values())  # the 4 reads
-        target = session if not all_branches else session._around(br.state)
-        target.state = br.state
         results.append((br.probability, sign, target))
     if all_branches:
         return results

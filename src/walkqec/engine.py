@@ -16,18 +16,20 @@ the public coin, local-coin and walker-unitary operations are thin
 wrappers over it.  The shift is one flat gather and the neighbor
 interaction one masked negation, each a single pass per step.
 
-The step operations return a new state and leave their input as it
-was; only ``measure_coin(inplace=True)`` and ``flip_coin`` write into
-it.  A ``CoinSpec`` is an immutable value: its entries are read-only
-copies, and equal specs compare and hash equal, so a program holding
-them can key the compile cache.
+The step operations build the tests' per-step reference executor, and
+the benchmark's tracer binds them by name.  They return a new state and
+leave their input as it was; only ``measure_coin``, which always
+collapses into its input, and ``flip_coin`` write into it.  A
+``CoinSpec`` is an immutable value: its entries are read-only copies,
+and equal specs compare and hash equal, so a program holding them can
+key the compile cache.
 
 Measurement and Pauli-word kernels act on strided views of the
 amplitude array.  A coin measurement scales only the kept coin half, by
 1/sqrt(prob) on the amplitudes' float64 view: a complex division's
 values, up to the sign of a zero.  A certain outcome makes no pass over
-that half, and ``measure_coin(inplace=True)`` collapses into the
-input's array.  ``flip_coin``, the ancilla reset, is an exact coin X in
+that half, and the last surviving outcome collapses into the input's
+array.  ``flip_coin``, the ancilla reset, is an exact coin X in
 place: it swaps the two coin halves, or, when the coin-0 half is all
 +0.0 bits (as after a collapse onto 1), moves coin 1 to coin 0 and
 zeroes coin 1.  Pauli-word factors are cached per (layout, word) with
@@ -43,8 +45,8 @@ that parks them; ``restrict`` does the same and raises when more than
 ``PARKED_TOL`` of the weight lies elsewhere; ``extend`` is their
 inverse.  Compiled runs take their slice with ``take_slice`` (their
 exact scan has shown the weight outside to be 0.0) and extend each
-branch back; readout and dropping the external walker go through
-``restrict``; preparation and encoded sessions go through ``extend``.
+branch back; readout goes through ``restrict``; preparation and
+encoded sessions go through ``extend``.
 The slice is exact for a run that acts on no parked walker: a shift
 fixes b = 0 and the neighbor step is diagonal, so the amplitudes outside
 the slice stay exactly 0.0.
@@ -586,16 +588,14 @@ def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float,
     The scale runs on the amplitudes' float64 view.  numpy divides a
     complex by a real as (re + im*0) * (1/c), so the values are a complex
     division's; only the sign of a zero can differ.  A certain outcome
-    (scale exactly 1.0) makes no pass over the kept half, and copies it
-    only when ``out`` is a new array.
+    (scale exactly 1.0) makes no pass over the kept half; it is never a
+    new ``out``, which only the first of two outcomes gets (1 - p1 < 1).
     """
     scale = 1.0 / np.sqrt(prob)
     src = _coin_halves(state, particle, np.float64)
     dst = _coin_halves(out, particle, np.float64)
     if scale != 1.0:
         np.multiply(src[:, outcome], scale, out=dst[:, outcome])
-    elif out is not state:
-        dst[:, outcome] = src[:, outcome]
     dst[:, 1 - outcome] = 0.0
     return out
 
@@ -603,17 +603,15 @@ def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float,
 def measure_coin(state: StateVector, particle: int, *,
                  rng: Optional[np.random.Generator] = None,
                  forced: Optional[int] = None,
-                 both_branches: bool = False,
-                 inplace: bool = False):
+                 both_branches: bool = False):
     """Projective Z-basis measurement of a walker's coin.
 
     Policies: seeded random (pass ``rng``), forced outcome, or both
     branches.  Both-branches returns [(bit, state, probability), ...] with
     branches of probability at most ``BRANCH_TOL`` dropped; the others
-    return a single triple, and a forced outcome below it raises.
-    With ``inplace`` the last outcome's state is ``state`` itself, and
-    when two survive the first gets a new array; otherwise every outcome
-    gets a new array and ``state`` is left as it was.
+    return a single triple, and a forced outcome below it raises.  The
+    last outcome's state is ``state`` itself, and when two survive the
+    first gets a new array.
     """
     p1 = coin_one_probability(state, particle)
     probs = {0: 1.0 - p1, 1: p1}
@@ -629,7 +627,7 @@ def measure_coin(state: StateVector, particle: int, *,
         bits = [int(rng.random() < p1)]
     results = []
     for k, b in enumerate(bits):
-        owns = inplace and k == len(bits) - 1
-        out = state if owns else StateVector(state.layout, np.empty_like(state.amps))
+        last = k == len(bits) - 1
+        out = state if last else StateVector(state.layout, np.empty_like(state.amps))
         results.append((b, _collapse_coin(state, particle, b, probs[b], out), probs[b]))
     return results if both_branches else results[0]

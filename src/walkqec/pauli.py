@@ -219,20 +219,6 @@ GAUGE_FACTOR_X = pw_product([GX0, GX1, S4])       # (I X X)_P4 (X I I)_P2 (X I I
 CRITERIA_G = pw_mul(GAUGE_FACTOR_Z, GAUGE_FACTOR_X)
 
 
-@dataclass(frozen=True)
-class CodeBasis:
-    """Table of code operators: stabilizers, gauge pairs, logicals."""
-
-    stabilizers: tuple = STABILIZERS
-    gauges: tuple = GAUGES
-    logicals: tuple = (LOGICAL_Z, LOGICAL_X)
-
-    def group_generators(self) -> tuple:
-        return self.stabilizers + self.gauges
-
-
-CODE_BASIS = CodeBasis()
-
 DATA_QUBITS = tuple(q(p, r) for p in DATA_PARTICLES for r in ROLES)
 # Serialization order for symplectic vectors: (P0.c, P0.x, P0.y, P2.c, ...).
 _QUBIT_INDEX = {qb: i for i, qb in enumerate(DATA_QUBITS)}
@@ -281,7 +267,7 @@ class _Gf2Span:
         return self.reduce(v) == 0
 
 
-_GROUP_SPAN = _Gf2Span(_symplectic(w) for w in CODE_BASIS.group_generators())
+_GROUP_SPAN = _Gf2Span(_symplectic(w) for w in STABILIZERS + GAUGES)
 
 
 def syndrome_of(error: PauliWord) -> tuple:

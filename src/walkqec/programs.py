@@ -34,9 +34,9 @@ Neighbor is diagonal, so their amplitudes outside the slice are exactly
 0.0 before and after the run, and extending each branch back
 (``engine.extend``) loses no weight.  On a freshly encoded six-walker
 state a T gate runs on 4,096 amplitudes and a transversal Clifford on
-512.  ``interpret_program`` runs the steps one at a time on the full
-layout and is the reference the tests compare against; ``listing()``
-and the step counts describe the source program.
+512.  ``run_program`` is the one executor; the tests compare it with a
+per-step reference.  ``listing()`` and the step counts describe the
+source program.
 """
 
 from __future__ import annotations
@@ -350,7 +350,7 @@ class _Policy:
             br = parents.pop(0)
             results = engine.measure_coin(br.state, step.particle, rng=self.rng,
                                           forced=(self.forced or {}).get(step.tag),
-                                          both_branches=self.all_branches, inplace=True)
+                                          both_branches=self.all_branches)
             for bit, post, prob in results if self.all_branches else [results]:
                 nb = Branch(post, br.probability * prob, dict(br.outcomes), dict(br.last_bit))
                 nb.outcomes[step.tag] = bit
@@ -426,58 +426,11 @@ def _slice(state: StateVector, acted: frozenset) -> tuple:
     return tuple(p for p in layout.particles if p in acted or p in moving)
 
 
-def interpret_program(state: StateVector, program: WalkProgram, **policy) -> list:
-    """Per-step reference executor with ``run_program``'s keywords.
-
-    Runs each step through its own engine operation on the input's full
-    layout, never a slice; tests compare the compiled executor against it.
-    """
-    run = _Policy(**policy)
-    branches = [Branch(state.copy())]
-    for step in program.steps:
-        if isinstance(step, Coin):
-            for br in branches:
-                br.state = engine.apply_coin(br.state, step.spec)
-        elif isinstance(step, Shift):
-            for br in branches:
-                br.state = engine.apply_shift(br.state)
-        elif isinstance(step, Neighbor):
-            for br in branches:
-                br.state = engine.apply_neighbor(br.state)
-        else:
-            branches = run.barrier(step, branches)
-    return branches
-
-
 def run_unitary(state: StateVector, program: WalkProgram) -> StateVector:
     """Run a measurement-free program as a plain unitary map."""
     if program.has_measurements:
         raise ValueError(f"program {program.name!r} contains measurements")
     return run_program(state, program)[0].state
-
-
-def inverted(program: WalkProgram) -> WalkProgram:
-    """Reversed conjugate of a measurement-free program.
-
-    Shifts invert as three forward shifts; Neighbor is its own inverse;
-    coin entries are conjugate-transposed.
-    """
-    if program.has_measurements:
-        raise ValueError("only measurement-free programs invert")
-    steps: list = []
-    for step in reversed(program.steps):
-        if isinstance(step, Shift):
-            steps.extend([Shift(), Shift(), Shift()])
-        elif isinstance(step, Neighbor):
-            steps.append(Neighbor())
-        elif isinstance(step, Coin):
-            steps.append(Coin(CoinSpec({(p, engine.LABEL_OF_V[v]): u.conj().T
-                                        for (p, v), u in step.spec.entries.items()})))
-        elif isinstance(step, InjectionPoint):
-            steps.append(step)
-        else:
-            raise TypeError(f"cannot invert step {step!r}")
-    return WalkProgram(f"{program.name}^-1", tuple(steps))
 
 
 def _walk_iterations(spec: CoinSpec, count: int, with_neighbor: bool) -> list:

@@ -7,12 +7,12 @@ import pytest
 
 from walkqec import codec, engine, errors, pauli, programs
 from walkqec.codec import (PauliFrame, apply_frame_physically,
-                           apply_logical_gate, apply_word, bloch_fidelity, drop_external,
+                           apply_logical_gate, apply_word, bloch_fidelity,
                            encode, encoded_session, ideal_bloch_map, inject_error,
                            logical_readout, measure_g, prepare_logical_zero,
                            run_cycle, transcript, update_frame)
 from walkqec.pauli import (CRITERIA_G, GAUGES, GX0, GZ1, LOGICAL_X,
-                           LOGICAL_Z, PEX, PauliWord, pw_mul, pw_product)
+                           LOGICAL_Z, PauliWord, pw_mul, pw_product)
 
 FIVE, SIX = engine.FIVE, engine.SIX
 SQ2 = 1 / np.sqrt(2)
@@ -77,6 +77,26 @@ class TestEncode:
         encode(ses, SQ2, 1j * SQ2, forced_outcome=0)
         assert np.allclose(logical_readout(ses).bloch, (0, 1, 0), atol=1e-10)
 
+    def test_seeded_preparation_and_encoding(self):
+        """Stabilizer signs and the encode outcome drawn by the session's
+        rng: each reference is its stabilizer's eigenvalue, the readout is
+        the input's Bloch vector, and a seed repeats its run bit for bit."""
+        def run(seed):
+            return encode(prepare_logical_zero(SIX, rng=np.random.default_rng(seed)), 0.8, 0.6j)
+
+        patterns = set()
+        for seed in range(8):
+            ses, again = run(seed), run(seed)
+            refs = ses.history.references
+            assert again.history.references == refs
+            assert again.state.amps.tobytes() == ses.state.amps.tobytes()
+            data = engine.restrict(ses.state, pauli.DATA_PARTICLES)
+            for ref, word in zip(refs, pauli.STABILIZERS):
+                assert abs(engine.expectation(data, word) - ref) <= 1e-12
+            assert np.allclose(logical_readout(ses).bloch, (0, 0.96, 0.28), rtol=0, atol=1e-12)
+            patterns.add(refs)
+        assert len(patterns) > 1   # s4 and s5 are drawn
+
     def test_both_branches_agree(self, zero_session_six):
         a = zero_session_six.clone()
         b = zero_session_six.clone()
@@ -87,14 +107,8 @@ class TestEncode:
     def test_external_walker_reparked(self, zero_session_six):
         ses = zero_session_six.clone()
         encode(ses, 0.6, 0.8, forced_outcome=1)
-        drop_external(ses)  # raises if the walker is not parked at (0, 00)
-        assert ses.layout == FIVE
-
-    def test_drop_external_raises_when_unparked(self):
-        ses = encoded_session(0.8, 0.6j, layout=SIX)
-        engine.flip_coin(ses.state, PEX)
-        with pytest.raises(ValueError, match="not parked"):
-            drop_external(ses)
+        # raises if the walker is not parked at (0, 00)
+        assert engine.restrict(ses.state, range(5)).layout == FIVE
 
     def test_requires_external(self, zero_session_five):
         with pytest.raises(ValueError):
@@ -107,9 +121,9 @@ class TestEncode:
     def test_fast_path_equals_walk_encode(self, zero_session_six):
         ses = zero_session_six.clone()
         encode(ses, 0.8, 0.6j, forced_outcome=0)
-        drop_external(ses)
+        five = engine.restrict(ses.state, range(5))
         fast = encoded_session(0.8, 0.6j)
-        assert engine.fidelity(ses.state, fast.state) == pytest.approx(1.0, abs=1e-12)
+        assert engine.fidelity(five, fast.state) == pytest.approx(1.0, abs=1e-12)
 
     def test_sessions_from_the_prepared_cache_do_not_alias(self):
         first = encoded_session(0.8, 0.6j)
@@ -440,7 +454,7 @@ class TestLogicalGates:
     def test_t_leaves_external_parked(self):
         ses = encoded_session(0.6, 0.8j, layout=SIX)
         apply_logical_gate(ses, "T")
-        drop_external(ses)  # raises if the walker moved or got entangled
+        engine.restrict(ses.state, range(5))  # raises if the walker moved or got entangled
 
     def test_h_is_involution_on_states(self):
         ses = encoded_session(0.8, 0.6, layout=SIX)

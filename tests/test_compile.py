@@ -13,10 +13,10 @@ from walkqec.programs import (Coin, InjectionPoint, MeasureCoin, Neighbor, Reset
                               build_encode, build_full_cycle, build_gauge_measurement,
                               build_gauge_xx_measurement, build_gauge_zz_measurement,
                               build_interaction_block, build_logical_clifford, build_logical_t,
-                              build_syndrome_step, compile_program, interpret_program, inverted,
-                              run_program)
+                              build_syndrome_step, compile_program, run_program)
 
 from conftest import random_state
+from reference import interpret_program, inverted
 
 FIVE, SIX = engine.FIVE, engine.SIX
 

@@ -343,7 +343,7 @@ class TestEveryWalkerSlot:
         st = random_state(layout, rng)
         # P_bit = (1 + (-1)^bit Zc) / 2 with Zc = kron(Z, I4)
         zc = walker_map_reference(st, particle, np.kron(COIN_Z, np.eye(4)))
-        branches = measure_coin(st, particle, both_branches=True)
+        branches = measure_coin(st.copy(), particle, both_branches=True)
         assert [bit for bit, _, _ in branches] == [0, 1]
         for bit, post, prob in branches:
             projected = 0.5 * (st.amps + (-1) ** bit * zc.amps)
@@ -358,25 +358,22 @@ class TestEveryWalkerSlot:
         assert abs(engine.coin_one_probability(st, particle) - want) <= 1e-15 * want
 
     def test_measure_coin_in_place(self, layout, particle, rng):
+        """The last outcome collapses into the input's array, and the first
+        of two gets a new one."""
         st = random_state(layout, rng)
-        before = st.amps.tobytes()
-        policies = {"rng": lambda: {"rng": np.random.default_rng(3)},
-                    "forced": lambda: {"forced": 1},
-                    "both": lambda: {"both_branches": True}}
+        policies = {"rng": {"rng": np.random.default_rng(3)}, "forced": {"forced": 1},
+                    "both": {"both_branches": True}}
         for name, policy in policies.items():
-            want = measure_coin(st, particle, **policy())
-            assert st.amps.tobytes() == before, name
             mine = st.copy()
-            got = measure_coin(mine, particle, inplace=True, **policy())
+            got = measure_coin(mine, particle, **policy)
             if name != "both":
-                want, got = [want], [got]
-            assert len(got) == len(want) == (2 if name == "both" else 1), name
+                got = [got]
+            assert len(got) == (2 if name == "both" else 1), name
             assert got[-1][1] is mine, name
             if len(got) == 2:
                 assert not np.shares_memory(got[0][1].amps, mine.amps), name
-            for (wb, ws, wp), (gb, gs, gp) in zip(want, got):
-                assert (gb, gp) == (wb, wp), name
-                assert gs.amps.tobytes() == ws.amps.tobytes(), name
+            for bit, post, prob in got:
+                assert np.array_equal(post.amps, collapse_reference(st, particle, bit, prob)), name
 
     def test_flip_coin_is_coin_x(self, layout, particle, rng):
         st = random_state(layout, rng)
@@ -457,20 +454,17 @@ def swap_reference(state, particle):
 
 @pytest.mark.parametrize("layout,particle", EVERY_SLOT, ids=EVERY_SLOT_IDS)
 class TestBarrierKernels:
-    """Coin collapse and ancilla reset, slot by slot, in place and not."""
+    """Coin collapse and ancilla reset, slot by slot."""
 
     def test_collapse_equals_complex_division(self, layout, particle, rng):
         st = random_state(layout, rng)
-        for inplace in (False, True):
-            mine = st.copy()
-            for bit, post, prob in measure_coin(mine, particle, both_branches=True,
-                                                inplace=inplace):
-                assert np.array_equal(post.amps, collapse_reference(st, particle, bit, prob))
+        for bit, post, prob in measure_coin(st.copy(), particle, both_branches=True):
+            assert np.array_equal(post.amps, collapse_reference(st, particle, bit, prob))
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_certain_outcome_keeps_its_half_bit_for_bit(self, layout, particle, bit, rng):
         """An outcome of probability exactly 1.0 keeps its half as it is,
-        -0.0 included, in place or copied into a new array."""
+        -0.0 included."""
         st = random_state(layout, rng)
         view = st.coin_view(particle)
         view[:, 1 - bit] = 0.0
@@ -479,13 +473,11 @@ class TestBarrierKernels:
             view[0, 1, 0, 0] = -1j
         view[:, bit].real[..., ::3] = -0.0
         kept = view[:, bit].tobytes()
-        for inplace in (False, True):
-            mine = st.copy()
-            got, post, prob = measure_coin(mine, particle, forced=bit, inplace=inplace)
-            assert (got, prob) == (bit, 1.0)
-            assert (post is mine) == inplace
-            assert post.coin_view(particle)[:, bit].tobytes() == kept
-            assert not post.coin_view(particle)[:, 1 - bit].view(np.uint64).any()
+        got, post, prob = measure_coin(st, particle, forced=bit)
+        assert (got, prob) == (bit, 1.0)
+        assert post is st
+        assert post.coin_view(particle)[:, bit].tobytes() == kept
+        assert not post.coin_view(particle)[:, 1 - bit].view(np.uint64).any()
 
     def test_flip_of_a_random_state(self, layout, particle, rng):
         st = random_state(layout, rng)
@@ -532,7 +524,7 @@ class TestSignedPermutation:
 class TestMeasurement:
     def test_deterministic_coin(self):
         st = all_at_origin(FIVE)
-        bit, post, prob = measure_coin(st, 0, forced=0)
+        bit, post, prob = measure_coin(st.copy(), 0, forced=0)
         assert bit == 0 and prob == pytest.approx(1.0)
         assert fidelity(post, st) == pytest.approx(1.0)
 
@@ -552,7 +544,7 @@ class TestMeasurement:
         bits = []
         for _ in range(2):
             rng = np.random.default_rng(11)
-            bit, _, _ = measure_coin(st, 0, rng=rng)
+            bit, _, _ = measure_coin(st.copy(), 0, rng=rng)
             bits.append(bit)
         assert bits[0] == bits[1]
 

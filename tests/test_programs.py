@@ -13,9 +13,10 @@ from walkqec.programs import (Coin, MeasureCoin, Neighbor, Shift, WalkProgram,
                               build_gauge_xx_measurement,
                               build_gauge_zz_measurement,
                               build_logical_clifford, build_syndrome_step,
-                              inverted, run_program, run_unitary)
+                              run_program, run_unitary)
 
 from conftest import position_distribution, random_state
+from reference import inverted
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
