@@ -50,10 +50,20 @@ encoded sessions go through ``extend``.
 The slice is exact for a run that acts on no parked walker: a shift
 fixes b = 0 and the neighbor step is diagonal, so the amplitudes outside
 the slice stay exactly 0.0.
+
+Working arrays come from ``empty_amps``: ``StateVector.copy``, the
+shift's gather, a walker-map operation's passes, the first of two
+measurement children, ``extend``, and the executor's start copy and
+scratch.  Arrays of 8,192 to 32,768 amplitudes (a FIVE state) are
+recycled: one is handed out again once no state, branch or view
+references it, so a campaign trial stops re-faulting its memory.  Other
+sizes are new arrays.  Every caller writes every element it is handed,
+so no result depends on what an array held before.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -224,6 +234,51 @@ def _shift_gather_flat(layout: Layout) -> np.ndarray:
     return src
 
 
+class _Recycler:
+    """Complex working arrays of 8,192 to 32,768 amplitudes (128-512 KiB),
+    handed out again once nothing else references them.
+
+    Freed arrays of that size go back to the OS between calls, and every
+    new one pays its page faults again; smaller ones come from the
+    allocator's free lists without faults, and larger ones are not held.
+    At most ``HELD_PER_SIZE`` arrays of each size are held, for the life
+    of the process.  An array is free when its reference count reads as
+    that of an item only its list holds, measured once here: a live
+    state, a branch or a view (which references its base) keeps it in
+    use.  The counts are CPython's; every caller writes every element.
+    """
+
+    SIZES = range(8192, 32769)
+    HELD_PER_SIZE = 16
+
+    def __init__(self):
+        self.held: dict = {}   # amplitude count -> arrays handed out before
+        self._free_refs = self._listed_refs()
+
+    @staticmethod
+    def _listed_refs() -> int:
+        """An item's reference count when only its list holds it, read
+        the way ``empty`` reads it."""
+        for item in [object()]:
+            return sys.getrefcount(item)
+
+    def empty(self, dim: int) -> np.ndarray:
+        """An uninitialized complex array of ``dim`` amplitudes."""
+        if dim not in self.SIZES:
+            return np.empty(dim, dtype=complex)
+        held = self.held.setdefault(dim, [])
+        for arr in held:
+            if sys.getrefcount(arr) == self._free_refs:
+                return arr
+        arr = np.empty(dim, dtype=complex)
+        if len(held) < self.HELD_PER_SIZE:
+            held.append(arr)
+        return arr
+
+
+empty_amps = _Recycler().empty
+
+
 class StateVector:
     """Complex amplitudes over the walkers' (coin, vertex) product basis."""
 
@@ -236,7 +291,9 @@ class StateVector:
         self.amps = amps
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amps.copy())
+        amps = empty_amps(self.layout.dim)
+        np.copyto(amps, self.amps)
+        return StateVector(self.layout, amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -316,12 +373,14 @@ def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:
     """Inverse of ``restrict``: the ``layout`` state holding ``vec``, the
     amplitudes of ``layout.parking(keep)``, with every other walker parked.
 
-    ``np.full`` writes every page of the array.  Pages of an ``np.zeros``
-    array that are never written stay unmapped, and how much of such an
-    array is resident follows the host's huge-page policy, not the state.
+    The array comes from ``empty_amps`` and is zeroed in full, so every
+    amplitude and every page is written.  Pages of an ``np.zeros`` array
+    that are never written stay unmapped, and how much of such an array
+    is resident follows the host's huge-page policy, not the state.
     """
     index, small = _parked_index(layout, keep)
-    amps = np.full(layout.dim, 0j)
+    amps = empty_amps(layout.dim)
+    amps.fill(0j)
     amps.reshape((8,) * layout.num_particles)[index] = vec.reshape((8,) * small.num_particles)
     return StateVector(layout, amps)
 
@@ -402,7 +461,9 @@ def apply_local_coin(state: StateVector, particle: int, u: np.ndarray) -> StateV
 
 def apply_shift(state: StateVector) -> StateVector:
     """Coin-1 components advance one clockwise vertex; coin-0 stay put."""
-    return StateVector(state.layout, state.amps[_shift_gather_flat(state.layout)])
+    out = empty_amps(state.layout.dim)
+    np.take(state.amps, _shift_gather_flat(state.layout), out=out, mode="clip")
+    return StateVector(state.layout, out)
 
 
 def apply_neighbor(state: StateVector) -> StateVector:
@@ -430,9 +491,9 @@ def _apply_maps(state: StateVector, maps: list) -> StateVector:
     if not maps:
         return state.copy()
     out = StateVector(state.layout, state.amps)
-    apply_walker_maps(out, maps[:1], np.empty_like(state.amps))
+    apply_walker_maps(out, maps[:1], empty_amps(state.layout.dim))
     if len(maps) > 1:
-        apply_walker_maps(out, maps[1:], np.empty_like(state.amps))
+        apply_walker_maps(out, maps[1:], empty_amps(state.layout.dim))
     return out
 
 
@@ -628,6 +689,6 @@ def measure_coin(state: StateVector, particle: int, *,
     results = []
     for k, b in enumerate(bits):
         last = k == len(bits) - 1
-        out = state if last else StateVector(state.layout, np.empty_like(state.amps))
+        out = state if last else StateVector(state.layout, empty_amps(state.layout.dim))
         results.append((b, _collapse_coin(state, particle, b, probs[b], out), probs[b]))
     return results if both_branches else results[0]

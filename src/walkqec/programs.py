@@ -34,7 +34,10 @@ Neighbor is diagonal, so their amplitudes outside the slice are exactly
 0.0 before and after the run, and extending each branch back
 (``engine.extend``) loses no weight.  On a freshly encoded six-walker
 state a T gate runs on 4,096 amplitudes and a transversal Clifford on
-512.  ``run_program`` is the one executor; the tests compare it with a
+512.  The start copy, the segment scratch and the measurement children
+come from ``engine.empty_amps``, so the 32,768-amplitude arrays of a
+syndrome cycle on FIVE are recycled from run to run.
+``run_program`` is the one executor; the tests compare it with a
 per-step reference.  ``listing()`` and the step counts describe the
 source program.
 """
@@ -379,9 +382,10 @@ def run_program(state: StateVector, program: WalkProgram, *,
     The run is compiled (see ``compile_program``).  Between two barriers
     every array segment writes one scratch buffer, which the branches
     pass along; it is dropped at each barrier, so it is not held while
-    measurements multiply the branches.  Every branch array belongs to
-    the run: measurements collapse in place and resets swap coin halves
-    in place.
+    measurements multiply the branches, and the next segment or run can
+    take it again from ``engine.empty_amps``, as it takes the start copy.
+    Every branch array belongs to the run: measurements collapse in
+    place and resets swap coin halves in place.
     """
     layout = state.layout
     keep = layout.particles if injections else _slice(state, program.walkers)
@@ -397,7 +401,7 @@ def run_program(state: StateVector, program: WalkProgram, *,
             branches = policy.barrier(seg, branches)
         else:
             if scratch is None:
-                scratch = np.empty_like(start.amps)
+                scratch = engine.empty_amps(start.layout.dim)
             for br in branches:
                 scratch = seg.apply(br.state, scratch)
     if sliced:
