@@ -439,22 +439,31 @@ LOGICAL_GATES = {
 }
 
 
+def _gate_program(layout: Layout, gate: str) -> programs.WalkProgram:
+    """The walk program of a gate of ``LOGICAL_GATES``.
+
+    Raises ValueError for an unknown gate or when the program acts on a
+    walker ``layout`` lacks (T needs the external walker).
+    """
+    if gate not in LOGICAL_GATES:
+        raise ValueError(f"unknown logical gate {gate!r}")
+    prog = LOGICAL_GATES[gate][0]()
+    missing = prog.walkers - set(layout.particles)
+    if missing:
+        raise ValueError(f"logical {gate} acts on walkers {sorted(missing)} "
+                         f"absent from the layout")
+    return prog
+
+
 def apply_logical_gate(session: Session, gate: str) -> Session:
     """Apply one logical gate of ``LOGICAL_GATES`` by its walk program and
     conjugate the axes accordingly.
 
     Raises ValueError, leaving the session untouched, for an unknown gate
-    or when the program acts on a walker the session's layout lacks (T
-    needs the external walker).
+    or when the program acts on a walker the session's layout lacks.
     """
-    if gate not in LOGICAL_GATES:
-        raise ValueError(f"unknown logical gate {gate!r}")
-    build, conj, rows = LOGICAL_GATES[gate]
-    prog = build()
-    missing = prog.walkers - set(session.layout.particles)
-    if missing:
-        raise ValueError(f"logical {gate} acts on walkers {sorted(missing)} "
-                         f"absent from the layout")
+    prog = _gate_program(session.layout, gate)
+    _, conj, rows = LOGICAL_GATES[gate]
     session.align()
     session.state = programs.run_unitary(session.state, prog)
     session.axes.conjugate(conj, rows)
@@ -462,8 +471,16 @@ def apply_logical_gate(session: Session, gate: str) -> Session:
 
 
 def apply_word(session: Session, word: str) -> Session:
-    """Apply a whitespace-separated gate word such as "H T T"."""
-    for gate in word.split():
+    """Apply a whitespace-separated gate word such as "H T T".
+
+    Every gate is checked before any runs, so a word with an unknown gate
+    or a gate the layout cannot run raises ValueError and leaves the
+    session untouched.
+    """
+    gates = word.split()
+    for gate in gates:
+        _gate_program(session.layout, gate)
+    for gate in gates:
         apply_logical_gate(session, gate)
     return session
 

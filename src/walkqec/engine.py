@@ -25,15 +25,19 @@ and equal specs compare and hash equal, so a program holding them can
 key the compile cache.
 
 Measurement and Pauli-word kernels act on strided views of the
-amplitude array.  A coin measurement scales only the kept coin half, by
-1/sqrt(prob) on the amplitudes' float64 view: a complex division's
-values, up to the sign of a zero.  A certain outcome makes no pass over
-that half, and the last surviving outcome collapses into the input's
-array.  ``flip_coin``, the ancilla reset, is an exact coin X in
-place: it swaps the two coin halves, or, when the coin-0 half is all
-+0.0 bits (as after a collapse onto 1), moves coin 1 to coin 0 and
-zeroes coin 1.  Pauli-word factors are cached per (layout, word) with
-read-only sign tensors.
+amplitude array.  A coin measurement takes each outcome's probability
+from its own coin half, both halves summed in one BLAS-free pass, and
+scales only the kept half, by 1/sqrt(prob) on the amplitudes' float64
+view: a complex division's values, up to the sign of a zero.  A certain
+outcome (the other half exactly 0.0) makes no pass over that half, and
+the last surviving outcome collapses into the input's array.
+``flip_coin``, the ancilla reset, is an exact coin X in place: it swaps
+the two coin halves, or, when the coin-0 half is all +0.0 bits (as
+after a collapse onto 1), moves coin 1 to coin 0 and zeroes coin 1.  A
+measurement with ``repark`` does that move inside its collapse: outcome
+1's scaled half is written straight into coin 0, with the same bits.
+Pauli-word factors are cached per (layout, word) with read-only sign
+tensors.
 
 A walker is parked at b = 0 (coin 0, vertex 00).  A ``Layout`` can park
 walkers: they are held at b = 0 and left out of the packed index, so its
@@ -606,12 +610,11 @@ def project_pauli(state: StateVector, word: PauliWord, sign: int) -> tuple:
 
 
 def coin_one_probability(state: StateVector, particle: int) -> float:
-    """Weight of a walker's coin-1 half.
+    """Weight of a walker's coin-1 half, as ``np.vdot`` of the flattened
+    half (a copy unless the walker is the most significant).
 
-    ``np.vdot`` flattens each operand, so the strided half is flattened
-    once here (a copy unless the walker is the most significant) and
-    passed twice.  A copy-free sum of squares is no faster inside a
-    trial and rounds differently, which a small branch's 1 - p1 amplifies.
+    ``measure_coin`` does not use it: it takes both halves' weights from
+    one BLAS-free pass (``_coin_weights``).
     """
     a = state.coin_view(particle)[:, 1].reshape(-1)
     return float(np.real(np.vdot(a, a)))
@@ -641,30 +644,53 @@ def flip_coin(state: StateVector, particle: int) -> StateVector:
     return state
 
 
-def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float,
-                   out: StateVector) -> StateVector:
-    """Write the post-measurement state into ``out``, which may be ``state``:
-    the kept coin half scaled by 1/sqrt(prob), the other half zeroed.
+def _coin_weights(state: StateVector, particle: int) -> tuple:
+    """Weights of a walker's coin-0 and coin-1 halves, in one pass.
 
-    The scale runs on the amplitudes' float64 view.  numpy divides a
-    complex by a real as (re + im*0) * (1/c), so the values are a complex
-    division's; only the sign of a zero can differ.  A certain outcome
-    (scale exactly 1.0) makes no pass over the kept half; it is never a
-    new ``out``, which only the first of two outcomes gets (1 - p1 < 1).
+    Both sums of squares come from one ``einsum`` over the float64 view,
+    which uses no BLAS, so they round the same at any thread count.  A
+    half whose weight is exactly 0.0 makes the other weight exactly 1.0:
+    that outcome is certain, and its collapse makes no pass.
+    """
+    halves = _coin_halves(state, particle, np.float64)
+    p0, p1 = (float(w) for w in np.einsum("ijk,ijk->j", halves, halves))
+    if p0 == 0.0:
+        return 0.0, 1.0
+    if p1 == 0.0:
+        return 1.0, 0.0
+    return p0, p1
+
+
+def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float,
+                   out: StateVector, into: int) -> StateVector:
+    """Write the post-measurement state into ``out``, which may be ``state``:
+    the kept coin half scaled by 1/sqrt(prob) into coin ``into``, the
+    other half zeroed.
+
+    ``into`` is ``outcome``, or 0 to re-park the walker after outcome 1:
+    the same bits as the collapse followed by ``flip_coin``, whose move
+    path copies coin 1 to coin 0 and zeroes coin 1.  The scale runs on
+    the amplitudes' float64 view.  numpy divides a complex by a real as
+    (re + im*0) * (1/c), so the values are a complex division's; only the
+    sign of a zero can differ.  A certain outcome (scale exactly 1.0)
+    kept in place makes no pass over the kept half.
     """
     scale = 1.0 / np.sqrt(prob)
     src = _coin_halves(state, particle, np.float64)
     dst = _coin_halves(out, particle, np.float64)
     if scale != 1.0:
-        np.multiply(src[:, outcome], scale, out=dst[:, outcome])
-    dst[:, 1 - outcome] = 0.0
+        np.multiply(src[:, outcome], scale, out=dst[:, into])
+    elif out is not state or into != outcome:
+        dst[:, into] = src[:, outcome]
+    dst[:, 1 - into] = 0.0
     return out
 
 
 def measure_coin(state: StateVector, particle: int, *,
                  rng: Optional[np.random.Generator] = None,
                  forced: Optional[int] = None,
-                 both_branches: bool = False):
+                 both_branches: bool = False,
+                 repark: bool = False):
     """Projective Z-basis measurement of a walker's coin.
 
     Policies: seeded random (pass ``rng``), forced outcome, or both
@@ -672,10 +698,12 @@ def measure_coin(state: StateVector, particle: int, *,
     branches of probability at most ``BRANCH_TOL`` dropped; the others
     return a single triple, and a forced outcome below it raises.  The
     last outcome's state is ``state`` itself, and when two survive the
-    first gets a new array.
+    first gets a new array.  Each outcome's probability is the weight of
+    its own coin half (``_coin_weights``).  With ``repark`` the walker is
+    also reset to coin 0: outcome 1's half is written into coin 0, the
+    bits ``flip_coin`` would leave after the collapse.
     """
-    p1 = coin_one_probability(state, particle)
-    probs = {0: 1.0 - p1, 1: p1}
+    probs = _coin_weights(state, particle)
     if both_branches:
         bits = [b for b in (0, 1) if probs[b] > BRANCH_TOL]
     elif forced is not None:
@@ -685,10 +713,11 @@ def measure_coin(state: StateVector, particle: int, *,
     elif rng is None:
         raise ValueError("measure_coin needs an rng, a forced outcome, or both_branches=True")
     else:
-        bits = [int(rng.random() < p1)]
+        bits = [int(rng.random() < probs[1])]
     results = []
     for k, b in enumerate(bits):
         last = k == len(bits) - 1
         out = state if last else StateVector(state.layout, empty_amps(state.layout.dim))
-        results.append((b, _collapse_coin(state, particle, b, probs[b], out), probs[b]))
+        post = _collapse_coin(state, particle, b, probs[b], out, 0 if repark else b)
+        results.append((b, post, probs[b]))
     return results if both_branches else results[0]

@@ -15,11 +15,15 @@ signed permutations fold, with the Neighbor steps, into one gather
 table, and the others are applied as walker maps.  A walker map with no
 imaginary part is stored as a contiguous, read-only float64 8x8, which
 the kernel applies as one real product: every map of the syndrome cycle
-and of the CNOT is real.  A syndrome cycle of
-101 steps runs as 10 array segments, a T gate as 5.  At the barriers,
-measurements collapse each branch in place and a reset is an in-place
-swap of the ancilla's coin halves.  Every walk the codec runs is built
-here.
+and of the CNOT is real.  The segments are then scheduled around the
+measurements (``_schedule``): maps on walkers that a run of MeasureCoin
+and ResetAncilla barriers does not touch move ahead of the run, so they
+run before the measurements multiply the branches, and a measurement
+with its walker's reset later in the run becomes one barrier that
+re-parks the walker inside its collapse.  A syndrome cycle of 101 steps
+runs as 9 array segments, a T gate as 5.  At the barriers, measurements
+collapse each branch in place and a lone reset is an in-place swap of
+the ancilla's coin halves.  Every walk the codec runs is built here.
 
 Programs are immutable values: every step is frozen and every
 ``CoinSpec`` is read-only, so a ``WalkProgram`` is itself the compile
@@ -178,15 +182,30 @@ class SignedPermutation:
         return engine.apply_signed_permutation(state, self.gather, self.sign, scratch)
 
 
+@dataclass(frozen=True)
+class _Repark:
+    """A MeasureCoin and the ResetAncilla of its walker later in the same
+    barrier run, as one barrier: the collapse re-parks the walker."""
+
+    measure: MeasureCoin
+
+    @property
+    def particle(self) -> int:
+        return self.measure.particle
+
+
 _BARRIERS = (MeasureCoin, ResetAncilla, InjectionPoint)
+_MEASURING = (MeasureCoin, ResetAncilla, _Repark)   # barriers maps may cross
 _NEIGHBOR = "neighbor"   # marker between walker products in a permutation's ops
 
 
 @lru_cache(maxsize=64)
 def compile_program(program: WalkProgram, layout: Layout) -> tuple:
-    """The program as segments: WalkerMaps, SignedPermutation and barrier steps.
+    """The program as segments: WalkerMaps, SignedPermutation and barriers.
 
-    Cached per (program, layout); equal programs share one entry.
+    Cached per (program, layout); equal programs share one entry.  The
+    segments are then scheduled around the measurement barriers (see
+    ``_schedule``).
     """
     segments: list = []
     run: list = []
@@ -199,7 +218,41 @@ def compile_program(program: WalkProgram, layout: Layout) -> tuple:
             run.append(step)
         else:
             raise TypeError(f"unknown step {step!r}")
-    return tuple(segments + _fuse(run, layout))
+    return tuple(_schedule(segments + _fuse(run, layout)))
+
+
+def _schedule(segments: list) -> list:
+    """Hoist walker maps across measurement barriers and fuse re-parks.
+
+    Take a run of MeasureCoin/ResetAncilla barriers between two WalkerMaps
+    segments.  The later segment's maps on walkers no barrier of the run
+    touches commute with the run, so they move into the earlier segment
+    as extra passes, in their order, and run before the measurements
+    multiply the branches; a segment left empty is dropped, and the runs
+    it separated merge.  Nothing crosses an InjectionPoint or a
+    SignedPermutation.  A ResetAncilla whose walker's last barrier in its
+    run is a MeasureCoin fuses with it into one ``_Repark``.
+    """
+    out: list = []
+    for seg in segments:
+        start = len(out)
+        while start and isinstance(out[start - 1], _MEASURING):
+            start -= 1
+        run = range(start, len(out))   # the barrier run that ``seg`` follows
+        if isinstance(seg, WalkerMaps) and run and start and isinstance(out[start - 1], WalkerMaps):
+            touched = {out[i].particle for i in run}
+            moved = tuple(pm for pm in seg.maps if pm[0] not in touched)
+            kept = tuple(pm for pm in seg.maps if pm[0] in touched)
+            out[start - 1] = WalkerMaps(out[start - 1].maps + moved)
+            seg = WalkerMaps(kept) if kept else None
+        elif isinstance(seg, ResetAncilla):
+            own = [i for i in run if out[i].particle == seg.particle]
+            if own and isinstance(out[own[-1]], MeasureCoin):
+                out[own[-1]] = _Repark(out[own[-1]])
+                seg = None
+        if seg is not None:
+            out.append(seg)
+    return out
 
 
 def _walker_products(steps: list, layout: Layout) -> list:
@@ -333,6 +386,8 @@ class _Policy:
     def barrier(self, step, branches: list) -> list:
         if isinstance(step, MeasureCoin):
             return self._measure(step, branches)
+        if isinstance(step, _Repark):
+            return self._measure(step.measure, branches, repark=True)
         if isinstance(step, ResetAncilla):
             for br in branches:
                 if br.last_bit.get(step.particle, 0):
@@ -345,15 +400,16 @@ class _Policy:
             raise TypeError(f"unknown step {step!r}")
         return branches
 
-    def _measure(self, step: MeasureCoin, parents: list) -> list:
+    def _measure(self, step: MeasureCoin, parents: list, repark: bool = False) -> list:
         """Children of every parent, in order.  Each parent is taken off
-        ``parents`` and collapsed in place: its last child takes its array."""
+        ``parents`` and collapsed in place: its last child takes its array.
+        With ``repark`` each child's walker is also reset to coin 0."""
         children = []
         while parents:
             br = parents.pop(0)
             results = engine.measure_coin(br.state, step.particle, rng=self.rng,
                                           forced=(self.forced or {}).get(step.tag),
-                                          both_branches=self.all_branches)
+                                          both_branches=self.all_branches, repark=repark)
             for bit, post, prob in results if self.all_branches else [results]:
                 nb = Branch(post, br.probability * prob, dict(br.outcomes), dict(br.last_bit))
                 nb.outcomes[step.tag] = bit
@@ -396,14 +452,14 @@ def run_program(state: StateVector, program: WalkProgram, *,
     branches = [Branch(start)]
     scratch = None
     for seg in segments:
-        if isinstance(seg, _BARRIERS):
-            scratch = None
-            branches = policy.barrier(seg, branches)
-        else:
+        if isinstance(seg, (WalkerMaps, SignedPermutation)):
             if scratch is None:
                 scratch = engine.empty_amps(start.layout.dim)
             for br in branches:
                 scratch = seg.apply(br.state, scratch)
+        else:
+            scratch = None
+            branches = policy.barrier(seg, branches)
     if sliced:
         for br in branches:
             br.state = engine.extend(layout, keep, br.state.amps)

@@ -480,6 +480,23 @@ class TestLogicalGates:
         with pytest.raises(ValueError):
             apply_logical_gate(ses, "Q")
 
+    @pytest.mark.parametrize("layout,word", [(SIX, "H Q"), (FIVE, "H T"), (FIVE, "S Q H")],
+                             ids=["SIX-unknown", "FIVE-T", "FIVE-unknown"])
+    def test_failing_word_leaves_the_session_untouched(self, layout, word):
+        """A word is checked whole before its first gate runs."""
+        # displaced by a cycle and with conjugated axes, so a first gate
+        # (it aligns and conjugates) would show
+        ses = run_cycle(apply_word(encoded_session(0.8, 0.6j, layout=layout), "H S"),
+                        all_branches=True)[0][1]
+        assert ses.displacement == 2
+        state = ses.state
+        amps, axes = state.amps.tobytes(), {k: list(v) for k, v in ses.axes.axes.items()}
+        with pytest.raises(ValueError):
+            apply_word(ses, word)
+        assert ses.state is state and ses.state.amps.tobytes() == amps
+        assert ses.displacement == 2
+        assert ses.axes.axes == axes
+
 
 class TestTranscript:
     def test_json_round_trip(self):

@@ -67,10 +67,11 @@ class TestShapes:
         assert shape(build_logical_t(), SIX) == [maps, "perm", maps, "perm", maps]
 
     @pytest.mark.parametrize("parity", [0, 1])
-    def test_cycle_has_ten_array_segments(self, parity):
+    def test_cycle_has_nine_array_segments(self, parity):
+        # the closing transform runs before the s4/s5 measurements
         segs = compile_program(build_full_cycle(parity), FIVE)
         arrays = [s for s in segs if isinstance(s, (WalkerMaps, SignedPermutation))]
-        assert len(arrays) == 10
+        assert len(arrays) == 9
         assert len(build_full_cycle(parity).steps) == 101
 
     def test_bare_shifts_cancel(self):
@@ -451,3 +452,136 @@ class TestRealOperands:
         zs = operands(build_logical_clifford("S"), SIX)
         assert [p for p, _ in zs] == list(DATA_PARTICLES)
         assert all(m.dtype == np.complex128 for _, m in zs)
+
+
+def h_on(*walkers):
+    return Coin(CoinSpec.uniform(walkers, engine.COIN_H))
+
+
+def x_on(*walkers):   # a coin X at every vertex is a signed permutation
+    return Coin(CoinSpec.uniform(walkers, COIN_X))
+
+
+class TestScheduling:
+    """Maps on walkers a barrier run does not touch run before it; re-parks
+    fuse into the collapse; the source program is unchanged."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_cycle_runs_every_data_map_before_the_next_measurements(self, parity):
+        assert shape(build_full_cycle(parity), FIVE) == [
+            "InjectionPoint",
+            "mapsP1P3", "perm", "mapsP1P3", "_Repark", "_Repark",
+            "mapsP1P3", "perm", "mapsP1P3P0P2P4", "_Repark", "_Repark",
+            "mapsP1P3", "perm", "mapsP1P3P0P2P4", "_Repark", "_Repark"]
+
+    def test_hoisting_makes_no_new_products(self):
+        """Moved maps are the source segment's operands, appended in order."""
+        segs = compile_program(build_full_cycle(0), FIVE)
+        transform = build_basis_transform(DATA_PARTICLES, frame=2).steps
+        (closing,) = programs._fuse(list(transform), FIVE)
+        moved = segs[-3].maps[2:]
+        assert [p for p, _ in moved] == [p for p, _ in closing.maps] == list(DATA_PARTICLES)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(moved, closing.maps))
+
+    @pytest.mark.parametrize("steps,want", [
+        # P1 is measured: only the P0 map moves
+        ((h_on(0, 1), MeasureCoin(P1, "a"), h_on(0, 1)),
+         ["mapsP0P1P0", "MeasureCoin", "mapsP1"]),
+        # every walker the later segment moves is touched: nothing moves
+        ((h_on(1, 3), MeasureCoin(P1, "a"), ResetAncilla(P3), h_on(1, 3)),
+         ["mapsP1P3", "MeasureCoin", "ResetAncilla", "mapsP1P3"]),
+        # an InjectionPoint in the run, or before it, stops the move
+        ((h_on(0, 1), MeasureCoin(P1, "a"), InjectionPoint("x"), h_on(0)),
+         ["mapsP0P1", "MeasureCoin", "InjectionPoint", "mapsP0"]),
+        ((h_on(0, 1), InjectionPoint("x"), MeasureCoin(P1, "a"), h_on(0)),
+         ["mapsP0P1", "InjectionPoint", "MeasureCoin", "mapsP0"]),
+        # a SignedPermutation before the run, or after it, stops the move
+        ((h_on(1), x_on(0), MeasureCoin(P1, "a"), h_on(0)),
+         ["mapsP1", "perm", "MeasureCoin", "mapsP0"]),
+        ((h_on(0, 1), MeasureCoin(P1, "a"), x_on(0), Neighbor(), h_on(0)),
+         ["mapsP0P1", "MeasureCoin", "perm", "mapsP0"]),
+        # a segment emptied by the move lets the next one move across both runs
+        ((h_on(0, 1), MeasureCoin(P1, "a"), h_on(0), ResetAncilla(P1), h_on(2)),
+         ["mapsP0P1P0P2", "_Repark"]),
+    ], ids=["own-walker", "all-touched", "injection-in-run", "injection-before",
+            "perm-before", "perm-after", "emptied-segment"])
+    def test_what_moves(self, steps, want, rng):
+        program = WalkProgram("scheduled", steps)
+        assert shape(program, FIVE) == want
+        st = random_state(FIVE, rng)
+        for policy in ({"all_branches": True}, {"rng": np.random.default_rng(2)}):
+            assert_same_branches(run_program(st, program, **policy),
+                                 interpret_program(st, program, **policy))
+
+    @pytest.mark.parametrize("steps,want", [
+        ((MeasureCoin(P1, "a"), MeasureCoin(P3, "b"), ResetAncilla(P1), ResetAncilla(P3)),
+         ["_Repark", "_Repark"]),
+        # the reset pairs with the walker's last measurement before it
+        ((MeasureCoin(P1, "a"), MeasureCoin(P1, "b"), ResetAncilla(P1)),
+         ["MeasureCoin", "_Repark"]),
+        # a reset of another walker, or one across an array segment, stays
+        ((MeasureCoin(P1, "a"), ResetAncilla(P3)), ["MeasureCoin", "ResetAncilla"]),
+        ((MeasureCoin(P1, "a"), h_on(1), ResetAncilla(P1)),
+         ["MeasureCoin", "mapsP1", "ResetAncilla"]),
+        ((MeasureCoin(P1, "a"), InjectionPoint("x"), ResetAncilla(P1)),
+         ["MeasureCoin", "InjectionPoint", "ResetAncilla"]),
+    ], ids=["cycle-read", "second-measurement", "other-walker", "across-maps",
+            "across-injection"])
+    def test_which_resets_fuse(self, steps, want, rng):
+        program = WalkProgram("reparks", steps)
+        assert shape(program, FIVE) == want
+        st = random_state(FIVE, rng)
+        assert_same_branches(run_program(st, program, all_branches=True),
+                             interpret_program(st, program, all_branches=True))
+
+
+REPARK_SLOTS = [(lay, p) for lay in (FIVE, SIX, verify.CHECK_LAYOUT) for p in lay.particles]
+REPARK_IDS = [f"{'CHECK' if lay.parked else 'SIX' if lay.with_external else 'FIVE'}-P{p}"
+              for lay, p in REPARK_SLOTS]
+
+
+@pytest.mark.parametrize("layout,particle", REPARK_SLOTS, ids=REPARK_IDS)
+class TestReparkInTheCollapse:
+    """``measure_coin(repark=True)`` leaves the bits of ``measure_coin``
+    followed, on outcome 1, by ``flip_coin``."""
+
+    @staticmethod
+    def collapse_then_flip(state, particle, **policy):
+        results = engine.measure_coin(state, particle, **policy)
+        for bit, post, _ in results if policy.get("both_branches") else [results]:
+            if bit:
+                engine.flip_coin(post, particle)
+        return results
+
+    @staticmethod
+    def bits(results):
+        return [(bit, post.amps.view(np.uint64).tobytes(), prob) for bit, post, prob in results]
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_forced(self, layout, particle, bit, rng):
+        st = random_state(layout, rng)
+        want = self.collapse_then_flip(st.copy(), particle, forced=bit)
+        mine = st.copy()
+        got = engine.measure_coin(mine, particle, forced=bit, repark=True)
+        assert got[1] is mine
+        assert self.bits([got]) == self.bits([want])
+
+    def test_both_branches(self, layout, particle, rng):
+        st = random_state(layout, rng)
+        want = self.collapse_then_flip(st.copy(), particle, both_branches=True)
+        got = engine.measure_coin(st.copy(), particle, both_branches=True, repark=True)
+        assert [bit for bit, _, _ in got] == [0, 1]
+        assert self.bits(got) == self.bits(want)
+
+    def test_certain_outcome_one(self, layout, particle, rng):
+        """A coin-0 half of exactly 0.0 makes outcome 1 certain: the half
+        moves to coin 0 unscaled, -0.0 included."""
+        st = random_state(layout, rng)
+        view = st.coin_view(particle)
+        view[:, 0] = 0.0
+        view[:, 1].real[..., ::3] = -0.0
+        want = self.collapse_then_flip(st.copy(), particle, forced=1)
+        got = engine.measure_coin(st.copy(), particle, forced=1, repark=True)
+        assert got[2] == want[2] == 1.0
+        assert self.bits([got]) == self.bits([want])
+        assert got[1].coin_view(particle)[:, 0].tobytes() == view[:, 1].tobytes()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from walkqec import codec, engine, oracle, pauli, programs
+from walkqec import codec, engine, errors, oracle, pauli, programs
 from walkqec.engine import COIN_H, StateVector, all_at_origin, fidelity
 from walkqec.pauli import (DATA_PARTICLES, LOGICAL_X, LOGICAL_Z, PEX,
                            PauliWord, STABILIZERS, from_triples, pw_mul)
@@ -16,7 +16,7 @@ from walkqec.programs import (Coin, MeasureCoin, Neighbor, Shift, WalkProgram,
                               run_program, run_unitary)
 
 from conftest import position_distribution, random_state
-from reference import inverted
+from reference import interpret_program, inverted
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
@@ -294,3 +294,99 @@ class TestGoldenListing:
         import pathlib
         golden = pathlib.Path(__file__).parent / "data" / "syndrome_s0s2.txt"
         assert build_syndrome_step("s0s2").listing() + "\n" == golden.read_text()
+
+
+def off_park(state, particle, rng):
+    """``state`` with ``particle`` spread by a random 8x8 unitary: its
+    amplitude leaves vertex 00 and coin 0."""
+    u8, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    return engine.apply_particle_unitary(state, particle, u8)
+
+
+def cycle_inputs(rng):
+    """Parity 0 and parity 1 inputs: an encoded state with a coin error,
+    and one branch of its cycle with a shift error."""
+    alpha, beta = rng.normal(size=2) + 1j * rng.normal(size=2)
+    norm = np.hypot(abs(alpha), abs(beta))
+    ses = codec.encoded_session(alpha / norm, beta / norm)
+    codec.inject_error(ses, errors.sample_random_error(rng, "coin", 2))
+    _, second = codec.run_cycle(ses.clone(), all_branches=True)[-1]
+    codec.inject_error(second, errors.sample_random_error(rng, "shift", 0))
+    return {0: ses.state, 1: second.state}
+
+
+def policies(reference_branches, seed):
+    """Seeded, forced (the last branch-summed outcomes) and all-branches,
+    each as a callable giving a fresh policy."""
+    forced = dict(reference_branches[-1].outcomes)
+    return {"seeded": lambda: {"rng": np.random.default_rng(seed)},
+            "forced": lambda: {"forced": forced},
+            "all": lambda: {"all_branches": True}}
+
+
+def assert_matches_reference(state, program, seed):
+    everything = interpret_program(state, program, all_branches=True)
+    for name, policy in policies(everything, seed).items():
+        reference = interpret_program(state, program, **policy())
+        fused = run_program(state, program, **policy())
+        assert [b.outcomes for b in fused] == [b.outcomes for b in reference], name
+        for a, b in zip(fused, reference):
+            assert abs(a.probability - b.probability) < 1e-12, name
+            assert np.max(np.abs(a.state.amps - b.state.amps)) < 1e-12, name
+
+
+class TestScheduledProgramsMatchTheReference:
+    """Maps moved ahead of measurements and re-parks in the collapse give
+    the per-step reference's branches under every policy."""
+
+    @pytest.mark.parametrize("ancilla", ["parked", "off-park"])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_cycles(self, parity, ancilla, rng):
+        st = cycle_inputs(rng)[parity]
+        if ancilla == "off-park":
+            st = off_park(st, pauli.P1, rng)
+        assert_matches_reference(st, build_full_cycle(parity), seed=parity)
+
+    @pytest.mark.parametrize("ancilla", ["parked", "off-park"])
+    def test_gauge_read(self, ancilla, rng):
+        st = codec.encoded_session(0.8, 0.6j).state
+        if ancilla == "off-park":
+            st = off_park(st, pauli.P3, rng)
+        assert_matches_reference(st, programs.build_gauge_measurement(), seed=3)
+
+    @pytest.mark.parametrize("ancilla", ["parked", "off-park"])
+    def test_encoder(self, ancilla, rng):
+        st = engine.apply_local_coin(codec.prepare_logical_zero(SIX).state, PEX,
+                                     errors._haar_2x2(rng))
+        if ancilla == "off-park":
+            st = off_park(st, PEX, rng)
+        assert_matches_reference(st, programs.build_encode(), seed=4)
+
+
+def nearly_z(target, miss=1e-3):
+    """A coin error that is Z up to a rotation of ``miss``: the reads it
+    flips, at either parity, come out 0 with probability ~``miss`` ** 2."""
+    theta = np.pi / 2 - miss
+    u = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * engine.COIN_Z
+    return errors.CoinError((u,) * 4, target)
+
+
+class TestBranchSummedMass:
+    """Each outcome's probability is its own coin half's weight, so the
+    branches of a cycle carry the whole mass and a rare branch is
+    normalized by its own weight, not by 1 minus the other's."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_cycle_probabilities_sum_to_one(self, parity, rng):
+        inputs = [cycle_inputs(rng)[parity] for _ in range(3)]
+        for target in DATA_PARTICLES:
+            ses = codec.encoded_session(0.6, 0.8j)
+            if parity:
+                ses.state = run_program(ses.state, build_full_cycle(0), all_branches=True)[0].state
+            inputs.append(codec.inject_error(ses, nearly_z(target)).state)
+        for st in inputs:
+            branches = run_program(st, build_full_cycle(parity), all_branches=True)
+            assert len(branches) > 1
+            assert abs(sum(b.probability for b in branches) - 1.0) < 1e-13
+            for b in branches:
+                assert abs(b.state.norm() - 1.0) < 1e-13
