@@ -144,8 +144,11 @@ LOGICAL_GATES = tuple(codec.LOGICAL_GATES)
 
 
 def _gate_words(text: str) -> str:
-    """``--words`` as given, once every gate in it is a logical gate."""
+    """``--words`` as given, once every word in it is a nonempty sequence
+    of logical gates."""
     for word in text.split(","):
+        if not word.split():
+            raise argparse.ArgumentTypeError(f"empty gate word in {text!r}")
         for gate in word.split():
             if gate not in LOGICAL_GATES:
                 raise argparse.ArgumentTypeError(

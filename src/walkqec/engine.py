@@ -18,26 +18,21 @@ interaction one masked negation, each a single pass per step.
 
 The step operations build the tests' per-step reference executor, and
 the benchmark's tracer binds them by name.  They return a new state and
-leave their input as it was; only ``measure_coin``, which always
-collapses into its input, and ``flip_coin`` write into it.  A
+leave their input as it was; only ``measure_coin`` writes into it.  A
 ``CoinSpec`` is an immutable value: its entries are read-only copies,
 and equal specs compare and hash equal, so a program holding them can
 key the compile cache.
 
 Measurement and Pauli-word kernels act on strided views of the
-amplitude array.  A coin measurement takes each outcome's probability
-from its own coin half, both halves summed in one BLAS-free pass, and
-scales only the kept half, by 1/sqrt(prob) on the amplitudes' float64
-view: a complex division's values, up to the sign of a zero.  A certain
-outcome (the other half exactly 0.0) makes no pass over that half, and
-the last surviving outcome collapses into the input's array.
-``flip_coin``, the ancilla reset, is an exact coin X in place: it swaps
-the two coin halves, or, when the coin-0 half is all +0.0 bits (as
-after a collapse onto 1), moves coin 1 to coin 0 and zeroes coin 1.  A
-measurement with ``repark`` does that move inside its collapse: outcome
-1's scaled half is written straight into coin 0, with the same bits.
-Pauli-word factors are cached per (layout, word) with read-only sign
-tensors.
+amplitude array.  A coin measurement reads the walker's coin and resets
+it to 0.  It takes each outcome's probability from its own coin half,
+both halves summed in one BLAS-free pass, and writes only the kept
+half, scaled by 1/sqrt(prob) on the amplitudes' float64 view, into coin
+0: a complex division's values, up to the sign of a zero.  A certain
+outcome (the other half exactly 0.0) is not scaled, so outcome 0 makes
+no pass over its half and outcome 1 is a move, and the last surviving
+outcome collapses into the input's array.  Pauli-word factors are
+cached per (layout, word) with read-only sign tensors.
 
 A walker is parked at b = 0 (coin 0, vertex 00).  A ``Layout`` can park
 walkers: they are held at b = 0 and left out of the packed index, so its
@@ -620,28 +615,10 @@ def coin_one_probability(state: StateVector, particle: int) -> float:
     return float(np.real(np.vdot(a, a)))
 
 
-def _coin_halves(state: StateVector, particle: int, dtype) -> np.ndarray:
-    """The amplitudes' ``dtype`` view (float64 or uint64) as (above, coin,
-    rest): the two coin halves of one walker, two numbers per amplitude."""
-    return state.amps.view(dtype).reshape(-1, 2, 8 ** (state.layout.slot(particle) + 1))
-
-
-def flip_coin(state: StateVector, particle: int) -> StateVector:
-    """Exact coin X on one walker, in place: its two coin halves swap.
-
-    When the coin-0 half is all +0.0 bits, as after a collapse onto 1, the
-    swap is a move: the coin-1 half goes to coin 0 and coin 1 is zeroed.
-    The check reads the bits, so a -0.0 takes the swap and keeps its sign.
-    """
-    view = state.coin_view(particle)
-    if _coin_halves(state, particle, np.uint64)[:, 0].any():
-        held = view[:, 0].copy()
-        view[:, 0] = view[:, 1]
-        view[:, 1] = held
-    else:
-        view[:, 0] = view[:, 1]
-        view[:, 1] = 0.0
-    return state
+def _coin_halves(state: StateVector, particle: int) -> np.ndarray:
+    """The amplitudes' float64 view as (above, coin, rest): the two coin
+    halves of one walker, two numbers per amplitude."""
+    return state.amps.view(np.float64).reshape(-1, 2, 8 ** (state.layout.slot(particle) + 1))
 
 
 def _coin_weights(state: StateVector, particle: int) -> tuple:
@@ -652,7 +629,7 @@ def _coin_weights(state: StateVector, particle: int) -> tuple:
     half whose weight is exactly 0.0 makes the other weight exactly 1.0:
     that outcome is certain, and its collapse makes no pass.
     """
-    halves = _coin_halves(state, particle, np.float64)
+    halves = _coin_halves(state, particle)
     p0, p1 = (float(w) for w in np.einsum("ijk,ijk->j", halves, halves))
     if p0 == 0.0:
         return 0.0, 1.0
@@ -662,51 +639,49 @@ def _coin_weights(state: StateVector, particle: int) -> tuple:
 
 
 def _collapse_coin(state: StateVector, particle: int, outcome: int, prob: float,
-                   out: StateVector, into: int) -> StateVector:
-    """Write the post-measurement state into ``out``, which may be ``state``:
-    the kept coin half scaled by 1/sqrt(prob) into coin ``into``, the
-    other half zeroed.
+                   out: StateVector) -> StateVector:
+    """Write the post-measurement, reset state into ``out``, which may be
+    ``state``: the kept coin half scaled by 1/sqrt(prob) into coin 0, coin
+    1 zeroed.
 
-    ``into`` is ``outcome``, or 0 to re-park the walker after outcome 1:
-    the same bits as the collapse followed by ``flip_coin``, whose move
-    path copies coin 1 to coin 0 and zeroes coin 1.  The scale runs on
-    the amplitudes' float64 view.  numpy divides a complex by a real as
-    (re + im*0) * (1/c), so the values are a complex division's; only the
-    sign of a zero can differ.  A certain outcome (scale exactly 1.0)
-    kept in place makes no pass over the kept half.
+    The scale runs on the amplitudes' float64 view.  numpy divides a
+    complex by a real as (re + im*0) * (1/c), so the values are a complex
+    division's; only the sign of a zero can differ.  A certain outcome
+    (scale exactly 1.0) is copied unscaled, -0.0 included, and outcome 0
+    kept in place makes no pass over its half.
     """
     scale = 1.0 / np.sqrt(prob)
-    src = _coin_halves(state, particle, np.float64)
-    dst = _coin_halves(out, particle, np.float64)
+    src = _coin_halves(state, particle)
+    dst = _coin_halves(out, particle)
     if scale != 1.0:
-        np.multiply(src[:, outcome], scale, out=dst[:, into])
-    elif out is not state or into != outcome:
-        dst[:, into] = src[:, outcome]
-    dst[:, 1 - into] = 0.0
+        np.multiply(src[:, outcome], scale, out=dst[:, 0])
+    elif out is not state or outcome:
+        dst[:, 0] = src[:, outcome]
+    dst[:, 1] = 0.0
     return out
 
 
 def measure_coin(state: StateVector, particle: int, *,
                  rng: Optional[np.random.Generator] = None,
                  forced: Optional[int] = None,
-                 both_branches: bool = False,
-                 repark: bool = False):
-    """Projective Z-basis measurement of a walker's coin.
+                 both_branches: bool = False):
+    """Projective Z-basis measurement of a walker's coin, which is then
+    reset to 0: each outcome's kept half is written into coin 0.
 
-    Policies: seeded random (pass ``rng``), forced outcome, or both
-    branches.  Both-branches returns [(bit, state, probability), ...] with
-    branches of probability at most ``BRANCH_TOL`` dropped; the others
-    return a single triple, and a forced outcome below it raises.  The
-    last outcome's state is ``state`` itself, and when two survive the
-    first gets a new array.  Each outcome's probability is the weight of
-    its own coin half (``_coin_weights``).  With ``repark`` the walker is
-    also reset to coin 0: outcome 1's half is written into coin 0, the
-    bits ``flip_coin`` would leave after the collapse.
+    Policies: seeded random (pass ``rng``), forced outcome (0 or 1), or
+    both branches.  Both-branches returns [(bit, state, probability), ...]
+    with branches of probability at most ``BRANCH_TOL`` dropped; the
+    others return a single triple, and a forced outcome below it raises.
+    The last outcome's state is ``state`` itself, and when two survive
+    the first gets a new array.  Each outcome's probability is the weight
+    of its own coin half (``_coin_weights``).
     """
     probs = _coin_weights(state, particle)
     if both_branches:
         bits = [b for b in (0, 1) if probs[b] > BRANCH_TOL]
     elif forced is not None:
+        if forced not in (0, 1):
+            raise ValueError(f"forced outcome must be 0 or 1, got {forced!r}")
         if probs[forced] < BRANCH_TOL:
             raise ValueError(f"forced outcome {forced} has probability {probs[forced]:.3e}")
         bits = [forced]
@@ -718,6 +693,5 @@ def measure_coin(state: StateVector, particle: int, *,
     for k, b in enumerate(bits):
         last = k == len(bits) - 1
         out = state if last else StateVector(state.layout, empty_amps(state.layout.dim))
-        post = _collapse_coin(state, particle, b, probs[b], out, 0 if repark else b)
-        results.append((b, post, probs[b]))
+        results.append((b, _collapse_coin(state, particle, b, probs[b], out), probs[b]))
     return results if both_branches else results[0]

@@ -6,6 +6,7 @@ position-shift error, a coin-conditioned combination a*I + b*R + c*R^T
 over the clockwise rotation R, constrained to be unitary branch by
 branch.  A "teleport" error that moves one specific vertex to another is
 not expressible here; it is non-unitary and rejected by construction.
+Each spec checks itself once, when it is built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class CoinError:
     blocks: tuple  # four 2x2 matrices, indexed by v = 2x + y
     target: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.blocks) != 4:
             raise ValueError("coin error needs exactly four vertex blocks")
         for v, b in enumerate(self.blocks):
@@ -53,7 +54,7 @@ class ShiftError:
         a, b, c = self.coeffs[j]
         return a * np.eye(4) + b * R_XY + c * R_XY.T
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.coeffs) != 2 or any(len(t) != 3 for t in self.coeffs):
             raise ValueError("shift error needs coefficient triples for both coin branches")
         for j in range(2):
@@ -66,7 +67,7 @@ class PauliFlip:
     word: PauliWord
     target: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         particles = {qb.particle for qb in self.word.support()}
         if particles - {self.target}:
             raise ValueError("pauli flip must be supported on its target walker")
@@ -76,12 +77,11 @@ ErrorSpec = CoinError | ShiftError | PauliFlip
 
 
 def realize(spec: ErrorSpec) -> np.ndarray:
-    """Dense 8x8 unitary of an error spec, after validation.
+    """Dense 8x8 unitary of an error spec.
 
     A coin error's map is its ``CoinSpec``'s walker map, so a block
     within ``ATOL`` of the identity is the exact identity, as in every
     program coin."""
-    spec.validate()
     if isinstance(spec, CoinError):
         coin = CoinSpec({(spec.target, LABEL_OF_V[v]): b for v, b in enumerate(spec.blocks)})
         return coin.walker_maps().get(spec.target, np.eye(8, dtype=complex))
@@ -136,7 +136,7 @@ def _random_shift_triple(rng: np.random.Generator) -> tuple:
 
 
 def sample_random_error(rng: np.random.Generator, family: str, target: int) -> ErrorSpec:
-    """Draw a random validated spec from one of the three families."""
+    """Draw a random spec from one of the three families."""
     if target not in DATA_PARTICLES:
         raise ValueError(f"error target must be a data walker, got {target}")
     if family == "coin":
@@ -149,7 +149,6 @@ def sample_random_error(rng: np.random.Generator, family: str, target: int) -> E
         spec = PauliFlip(PauliWord.single(target, role, letter), target)
     else:
         raise ValueError(f"unknown error family {family!r}")
-    spec.validate()
     return spec
 
 
@@ -191,7 +190,6 @@ def from_json(obj: dict) -> ErrorSpec:
         spec = PauliFlip(PauliWord.parse(params["word"]), target)
     else:
         raise ValueError(f"unknown error family {family!r}")
-    spec.validate()
     return spec
 
 

@@ -1,49 +1,47 @@
 """Walk-program compiler: each protocol becomes an explicit step sequence.
 
-A program is a list of steps over {Coin, Shift, Neighbor, MeasureCoin,
-ResetAncilla, InjectionPoint}.  A Coin step is a vertex-conditioned coin
-on any set of walkers, one 2x2 unitary per (walker, vertex); a coin on
-one walker at every vertex is ``Coin(CoinSpec.uniform((p,), u))``.
-Coin/Shift/Neighbor steps are globally synchronous across walkers.
-Structure is used for guarantees: transform blocks simply contain no
-Neighbor steps, which is how neighbor interactions are suppressed there.
+A program is a list of steps over {Coin, Shift, Neighbor, MeasureCoin}.
+A Coin step is a vertex-conditioned coin on any set of walkers, one 2x2
+unitary per (walker, vertex); a coin on one walker at every vertex is
+``Coin(CoinSpec.uniform((p,), u))``.  Coin/Shift/Neighbor steps are
+globally synchronous across walkers.  Structure is used for guarantees:
+transform blocks simply contain no Neighbor steps, which is how neighbor
+interactions are suppressed there.  A MeasureCoin step reads a walker's
+coin into its tag and leaves the coin at 0, ready for the next read.
 
-``run_program`` executes a program compiled into segments.  MeasureCoin,
-ResetAncilla and InjectionPoint are barriers.  Between them, each
-walker's Coin and Shift steps fold into one 8x8 map; maps that are
-signed permutations fold, with the Neighbor steps, into one gather
-table, and the others are applied as walker maps.  A walker map with no
-imaginary part is stored as a contiguous, read-only float64 8x8, which
-the kernel applies as one real product: every map of the syndrome cycle
-and of the CNOT is real.  The segments are then scheduled around the
-measurements (``_schedule``): maps on walkers that a run of MeasureCoin
-and ResetAncilla barriers does not touch move ahead of the run, so they
-run before the measurements multiply the branches, and a measurement
-with its walker's reset later in the run becomes one barrier that
-re-parks the walker inside its collapse.  A syndrome cycle of 101 steps
-runs as 9 array segments, a T gate as 5.  At the barriers, measurements
-collapse each branch in place and a lone reset is an in-place swap of
-the ancilla's coin halves.  Every walk the codec runs is built here.
+``run_program`` executes a program compiled into segments.  MeasureCoin
+steps are barriers.  Between them, each walker's Coin and Shift steps
+fold into one 8x8 map; maps that are signed permutations fold, with the
+Neighbor steps, into one gather table, and the others are applied as
+walker maps.  A walker map with no imaginary part is stored as a
+contiguous, read-only float64 8x8, which the kernel applies as one real
+product: every map of the syndrome cycle and of the CNOT is real.  The
+segments are then scheduled around the measurements (``_schedule``):
+maps on walkers that a run of MeasureCoin barriers does not touch move
+ahead of the run, so they run before the measurements multiply the
+branches.  A syndrome cycle of 94 steps runs as 9 array segments, a T
+gate as 5.  At the barriers, measurements collapse each branch in place
+and reset the coin inside the collapse.  Every walk the codec runs is
+built here.
 
 Programs are immutable values: every step is frozen and every
 ``CoinSpec`` is read-only, so a ``WalkProgram`` is itself the compile
 cache's key, and equal programs built twice share one entry.
 
 Each run covers only the walkers the program moves.  The slice keeps the
-walkers its Coin entries, MeasureCoin and ResetAncilla steps act on
-(every walker when injections are given), and any other walker with a
-nonzero amplitude away from b = 0, found by an exact ``!= 0`` scan.  The
-rest are parked (``engine.take_slice``): a Shift fixes b = 0 and
-Neighbor is diagonal, so their amplitudes outside the slice are exactly
-0.0 before and after the run, and extending each branch back
-(``engine.extend``) loses no weight.  On a freshly encoded six-walker
-state a T gate runs on 4,096 amplitudes and a transversal Clifford on
-512.  The start copy, the segment scratch and the measurement children
-come from ``engine.empty_amps``, so the 32,768-amplitude arrays of a
-syndrome cycle on FIVE are recycled from run to run.
-``run_program`` is the one executor; the tests compare it with a
-per-step reference.  ``listing()`` and the step counts describe the
-source program.
+walkers its Coin entries and MeasureCoin steps act on, and any other
+walker with a nonzero amplitude away from b = 0, found by an exact
+``!= 0`` scan.  The rest are parked (``engine.take_slice``): a Shift
+fixes b = 0 and Neighbor is diagonal, so their amplitudes outside the
+slice are exactly 0.0 before and after the run, and extending each
+branch back (``engine.extend``) loses no weight.  On a freshly encoded
+six-walker state a T gate runs on 4,096 amplitudes and a transversal
+Clifford on 512.  The start copy, the segment scratch and the
+measurement children come from ``engine.empty_amps``, so the
+32,768-amplitude arrays of a syndrome cycle on FIVE are recycled from
+run to run.  ``run_program`` is the one executor; the tests compare it
+with a per-step reference.  ``listing()`` and the step counts describe
+the source program.
 """
 
 from __future__ import annotations
@@ -82,27 +80,13 @@ class Neighbor:
 
 @dataclass(frozen=True)
 class MeasureCoin:
+    """Measure a walker's coin into ``tag``, then reset the coin to 0."""
+
     particle: int
     tag: str
 
     def describe(self) -> str:
-        return f"measure P{self.particle} -> {self.tag}"
-
-
-@dataclass(frozen=True)
-class ResetAncilla:
-    particle: int
-
-    def describe(self) -> str:
-        return f"reset P{self.particle}"
-
-
-@dataclass(frozen=True)
-class InjectionPoint:
-    tag: str
-
-    def describe(self) -> str:
-        return f"injection-point {self.tag}"
+        return f"measure P{self.particle} -> {self.tag}, reset"
 
 
 @dataclass(frozen=True)
@@ -122,14 +106,14 @@ class WalkProgram:
 
     @cached_property
     def walkers(self) -> frozenset:
-        """The walkers the steps act on: those of Coin entries, MeasureCoin
-        and ResetAncilla.  Shift and Neighbor are not counted: both fix a
-        walker at b = 0."""
+        """The walkers the steps act on: those of Coin entries and
+        MeasureCoin.  Shift and Neighbor are not counted: both fix a walker
+        at b = 0."""
         acted = set()
         for step in self.steps:
             if isinstance(step, Coin):
                 acted.update(p for p, _ in step.spec.entries)
-            elif isinstance(step, (MeasureCoin, ResetAncilla)):
+            elif isinstance(step, MeasureCoin):
                 acted.add(step.particle)
         return frozenset(acted)
 
@@ -155,7 +139,6 @@ class Branch:
     state: StateVector
     probability: float = 1.0
     outcomes: dict = field(default_factory=dict)
-    last_bit: dict = field(default_factory=dict)  # walker -> most recent outcome
 
 
 # ------------------------------------------------------------ compile pass
@@ -182,26 +165,13 @@ class SignedPermutation:
         return engine.apply_signed_permutation(state, self.gather, self.sign, scratch)
 
 
-@dataclass(frozen=True)
-class _Repark:
-    """A MeasureCoin and the ResetAncilla of its walker later in the same
-    barrier run, as one barrier: the collapse re-parks the walker."""
-
-    measure: MeasureCoin
-
-    @property
-    def particle(self) -> int:
-        return self.measure.particle
-
-
-_BARRIERS = (MeasureCoin, ResetAncilla, InjectionPoint)
-_MEASURING = (MeasureCoin, ResetAncilla, _Repark)   # barriers maps may cross
 _NEIGHBOR = "neighbor"   # marker between walker products in a permutation's ops
 
 
 @lru_cache(maxsize=64)
 def compile_program(program: WalkProgram, layout: Layout) -> tuple:
-    """The program as segments: WalkerMaps, SignedPermutation and barriers.
+    """The program as segments: WalkerMaps, SignedPermutation and
+    MeasureCoin barriers.
 
     Cached per (program, layout); equal programs share one entry.  The
     segments are then scheduled around the measurement barriers (see
@@ -210,7 +180,7 @@ def compile_program(program: WalkProgram, layout: Layout) -> tuple:
     segments: list = []
     run: list = []
     for step in program.steps:
-        if isinstance(step, _BARRIERS):
+        if isinstance(step, MeasureCoin):
             segments += _fuse(run, layout)
             segments.append(step)
             run = []
@@ -222,36 +192,30 @@ def compile_program(program: WalkProgram, layout: Layout) -> tuple:
 
 
 def _schedule(segments: list) -> list:
-    """Hoist walker maps across measurement barriers and fuse re-parks.
+    """Hoist walker maps across measurement barriers.
 
-    Take a run of MeasureCoin/ResetAncilla barriers between two WalkerMaps
-    segments.  The later segment's maps on walkers no barrier of the run
-    touches commute with the run, so they move into the earlier segment
-    as extra passes, in their order, and run before the measurements
-    multiply the branches; a segment left empty is dropped, and the runs
-    it separated merge.  Nothing crosses an InjectionPoint or a
-    SignedPermutation.  A ResetAncilla whose walker's last barrier in its
-    run is a MeasureCoin fuses with it into one ``_Repark``.
+    Take a run of MeasureCoin barriers between two WalkerMaps segments.
+    The later segment's maps on walkers no measurement of the run touches
+    commute with the run, so they move into the earlier segment as extra
+    passes, in their order, and run before the measurements multiply the
+    branches; a segment left empty is dropped, and the runs it separated
+    merge.  Nothing crosses a SignedPermutation.
     """
     out: list = []
     for seg in segments:
         start = len(out)
-        while start and isinstance(out[start - 1], _MEASURING):
+        while start and isinstance(out[start - 1], MeasureCoin):
             start -= 1
-        run = range(start, len(out))   # the barrier run that ``seg`` follows
-        if isinstance(seg, WalkerMaps) and run and start and isinstance(out[start - 1], WalkerMaps):
-            touched = {out[i].particle for i in run}
+        if (isinstance(seg, WalkerMaps) and 0 < start < len(out)
+                and isinstance(out[start - 1], WalkerMaps)):
+            touched = {out[i].particle for i in range(start, len(out))}
             moved = tuple(pm for pm in seg.maps if pm[0] not in touched)
             kept = tuple(pm for pm in seg.maps if pm[0] in touched)
             out[start - 1] = WalkerMaps(out[start - 1].maps + moved)
-            seg = WalkerMaps(kept) if kept else None
-        elif isinstance(seg, ResetAncilla):
-            own = [i for i in run if out[i].particle == seg.particle]
-            if own and isinstance(out[own[-1]], MeasureCoin):
-                out[own[-1]] = _Repark(out[own[-1]])
-                seg = None
-        if seg is not None:
-            out.append(seg)
+            if not kept:
+                continue
+            seg = WalkerMaps(kept)
+        out.append(seg)
     return out
 
 
@@ -376,60 +340,38 @@ def _digit_permutation(by_slot: dict, slots: range) -> tuple:
 
 @dataclass
 class _Policy:
-    """Measurement policy and injections of one run; executes barrier steps."""
+    """Measurement policy of one run."""
 
     rng: Optional[np.random.Generator] = None
     forced: Optional[dict] = None
     all_branches: bool = False
-    injections: Optional[dict] = None
 
-    def barrier(self, step, branches: list) -> list:
-        if isinstance(step, MeasureCoin):
-            return self._measure(step, branches)
-        if isinstance(step, _Repark):
-            return self._measure(step.measure, branches, repark=True)
-        if isinstance(step, ResetAncilla):
-            for br in branches:
-                if br.last_bit.get(step.particle, 0):
-                    engine.flip_coin(br.state, step.particle)
-        elif isinstance(step, InjectionPoint):
-            if self.injections and step.tag in self.injections:
-                for br in branches:
-                    br.state = self.injections[step.tag](br.state)
-        else:
-            raise TypeError(f"unknown step {step!r}")
-        return branches
-
-    def _measure(self, step: MeasureCoin, parents: list, repark: bool = False) -> list:
-        """Children of every parent, in order.  Each parent is taken off
-        ``parents`` and collapsed in place: its last child takes its array.
-        With ``repark`` each child's walker is also reset to coin 0."""
+    def measure(self, step: MeasureCoin, parents: list) -> list:
+        """Children of every parent, in order, each with the walker's coin
+        reset.  Each parent is taken off ``parents`` and collapsed in
+        place: its last child takes its array."""
         children = []
         while parents:
             br = parents.pop(0)
             results = engine.measure_coin(br.state, step.particle, rng=self.rng,
                                           forced=(self.forced or {}).get(step.tag),
-                                          both_branches=self.all_branches, repark=repark)
+                                          both_branches=self.all_branches)
             for bit, post, prob in results if self.all_branches else [results]:
-                nb = Branch(post, br.probability * prob, dict(br.outcomes), dict(br.last_bit))
-                nb.outcomes[step.tag] = bit
-                nb.last_bit[step.particle] = bit
-                children.append(nb)
+                children.append(Branch(post, br.probability * prob,
+                                       {**br.outcomes, step.tag: bit}))
         return [b for b in children if not self.all_branches or b.probability > BRANCH_TOL]
 
 
 def run_program(state: StateVector, program: WalkProgram, *,
                 rng: Optional[np.random.Generator] = None,
                 forced: Optional[dict] = None,
-                all_branches: bool = False,
-                injections: Optional[dict] = None) -> list:
+                all_branches: bool = False) -> list:
     """Execute a program, returning the list of surviving branches.
 
     Measurement policy is one of: seeded (``rng``), ``forced`` (tag ->
     bit), or ``all_branches`` (branch summing; branches of probability
-    at most ``BRANCH_TOL`` are pruned).  ``injections`` maps an
-    InjectionPoint tag to a callable state -> state, the only sanctioned
-    way to disturb a managed run.
+    at most ``BRANCH_TOL`` are pruned).  Errors are applied to ``state``
+    before the call.
 
     The program runs on the smallest exact slice of the state (see
     ``_slice``): the other walkers are parked at b = 0 for the whole
@@ -440,15 +382,15 @@ def run_program(state: StateVector, program: WalkProgram, *,
     pass along; it is dropped at each barrier, so it is not held while
     measurements multiply the branches, and the next segment or run can
     take it again from ``engine.empty_amps``, as it takes the start copy.
-    Every branch array belongs to the run: measurements collapse in
-    place and resets swap coin halves in place.
+    Every branch array belongs to the run: measurements collapse and
+    reset in place.
     """
     layout = state.layout
-    keep = layout.particles if injections else _slice(state, program.walkers)
+    keep = _slice(state, program.walkers)
     sliced = len(keep) < len(layout.particles)
     start = engine.take_slice(state, keep) if sliced else state.copy()
     segments = compile_program(program, start.layout)
-    policy = _Policy(rng, forced, all_branches, injections)
+    policy = _Policy(rng, forced, all_branches)
     branches = [Branch(start)]
     scratch = None
     for seg in segments:
@@ -459,7 +401,7 @@ def run_program(state: StateVector, program: WalkProgram, *,
                 scratch = seg.apply(br.state, scratch)
         else:
             scratch = None
-            branches = policy.barrier(seg, branches)
+            branches = policy.measure(seg, branches)
     if sliced:
         for br in branches:
             br.state = engine.extend(layout, keep, br.state.amps)
@@ -527,10 +469,10 @@ SYNDROME_PAIRS = {
 def _kickback_read(kick: Sequence[str], tag1: str, tag3: str) -> list:
     """One phase-kickback read: H on the P1 and P3 coins, six walk
     iterations with the ancillas' coins kicked at ``kick``, H again, then
-    P1 measured into ``tag1``, P3 into ``tag3``, and both reset."""
+    P1 measured into ``tag1`` and P3 into ``tag3``, each coin reset."""
     brackets = [Coin(CoinSpec.uniform((p,), COIN_H)) for p in (P1, P3)]
     return (brackets + _walk_iterations(_ancilla_kick_spec(kick), 6, True) + brackets
-            + [MeasureCoin(P1, tag1), MeasureCoin(P3, tag3), ResetAncilla(P1), ResetAncilla(P3)])
+            + [MeasureCoin(P1, tag1), MeasureCoin(P3, tag3)])
 
 
 @lru_cache(maxsize=None)
@@ -619,7 +561,7 @@ def build_full_cycle(cycle_parity: int) -> WalkProgram:
     """
     even = cycle_parity % 2 == 0
     order = ["s0s2", "s1s3", "s4s5"] if even else ["s1s3", "s0s2", "s4s5"]
-    steps: list = [InjectionPoint("cycle-start")]
+    steps: list = []
     for pair in order:
         # Even cycles reach s4/s5 with the walkers home; odd cycles reach
         # it displaced by two (each six-iteration block adds two).
@@ -666,9 +608,8 @@ def build_cphase() -> WalkProgram:
 @lru_cache(maxsize=None)
 def build_encode() -> WalkProgram:
     """The encoder after the input coin: the CNOT, then H on the external
-    coin, its measurement ("encode") and its re-parking at coin 0."""
-    steps = (Coin(CoinSpec.uniform((PEX,), COIN_H)), MeasureCoin(PEX, "encode"),
-             ResetAncilla(PEX))
+    coin, and its measurement ("encode"), which re-parks it at coin 0."""
+    steps = (Coin(CoinSpec.uniform((PEX,), COIN_H)), MeasureCoin(PEX, "encode"))
     return WalkProgram("encode", build_cnot_coin_to_logical().steps + steps)
 
 

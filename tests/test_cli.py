@@ -166,6 +166,13 @@ class TestUsage:
         assert exc.value.code == 2
         assert "unknown logical gate 'X'; pick from H, S, Z, T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("words", ["H,", ",T", "H, ,T", ""])
+    def test_empty_gate_word_is_usage_error(self, capsys, words):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["logical-gates", "--words", words])
+        assert exc.value.code == 2
+        assert "empty gate word" in capsys.readouterr().err
+
     def test_negative_trials_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["error-sweep", "--trials", "-3"])

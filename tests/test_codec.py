@@ -193,7 +193,7 @@ class TestDataSliceReadout:
 
     def test_flipped_ancilla_raises(self):
         ses = encoded_session(0.8, 0.6j)
-        engine.flip_coin(ses.state, pauli.P1)
+        ses.state = engine.apply_pauli_word(ses.state, PauliWord.single(pauli.P1, "c", "X"))
         with pytest.raises(ValueError, match="not parked"):
             logical_readout(ses)
 
@@ -223,6 +223,15 @@ class TestCycles:
         ses = run_cycle(ses, forced={f"s{i}": 0 for i in range(6)})
         ses.align()
         assert engine.fidelity(ses.state, start) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("bit", [-1, 2])
+    def test_forced_outcome_outside_zero_and_one_raises(self, bit):
+        ses = encoded_session(0.8, 0.6)
+        inject_error(ses, errors.PauliFlip(PauliWord.single(0, "x", "X"), 0))
+        before = ses.state.amps.copy()
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            run_cycle(ses, forced={"s0": bit, **{f"s{i}": 0 for i in range(1, 6)}})
+        assert ses.history.cycles == [] and np.array_equal(ses.state.amps, before)
 
     def test_phase_flip_syndrome(self):
         ses = encoded_session(1.0, 0.0)

@@ -6,9 +6,9 @@ import pytest
 
 from walkqec import codec, engine, errors, programs, verify
 from walkqec.engine import COIN_X, CoinSpec
-from walkqec.pauli import DATA_PARTICLES, P1, P3, PEX
-from walkqec.programs import (Coin, InjectionPoint, MeasureCoin, Neighbor, ResetAncilla,
-                              Shift, SignedPermutation, WalkProgram, WalkerMaps,
+from walkqec.pauli import DATA_PARTICLES, P1, P3, PEX, PauliWord
+from walkqec.programs import (Coin, MeasureCoin, Neighbor, Shift, SignedPermutation,
+                              WalkProgram, WalkerMaps,
                               build_basis_transform, build_cnot_coin_to_logical, build_cphase,
                               build_encode, build_full_cycle, build_gauge_measurement,
                               build_gauge_xx_measurement, build_gauge_zz_measurement,
@@ -16,7 +16,7 @@ from walkqec.programs import (Coin, InjectionPoint, MeasureCoin, Neighbor, Reset
                               build_syndrome_step, compile_program, run_program)
 
 from conftest import random_state
-from reference import interpret_program, inverted
+from reference import interpret_program, inverted, reset_reference, swap_reference
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
@@ -72,7 +72,7 @@ class TestShapes:
         segs = compile_program(build_full_cycle(parity), FIVE)
         arrays = [s for s in segs if isinstance(s, (WalkerMaps, SignedPermutation))]
         assert len(arrays) == 9
-        assert len(build_full_cycle(parity).steps) == 101
+        assert len(build_full_cycle(parity).steps) == 94
 
     def test_bare_shifts_cancel(self):
         assert shape(build_basis_transform(()), FIVE) == []
@@ -154,12 +154,10 @@ class TestFusedEqualsReference:
     def test_errors_injected_at_cycle_start(self, family, parity, rng):
         for target in DATA_PARTICLES:
             ses = encoded_random(rng)
-            spec = errors.sample_random_error(rng, family, target)
-            inject = {"cycle-start": lambda s: errors.inject(s, spec)}
+            st = errors.inject(ses.state, errors.sample_random_error(rng, family, target))
             prog = build_full_cycle(parity)
-            fused = run_program(ses.state, prog, all_branches=True, injections=inject)
-            reference = interpret_program(ses.state, prog, all_branches=True,
-                                          injections=inject)
+            fused = run_program(st, prog, all_branches=True)
+            reference = interpret_program(st, prog, all_branches=True)
             assert len(fused) > 1
             assert_same_branches(fused, reference)
 
@@ -225,7 +223,8 @@ class TestSlice:
 
     def test_unparked_walker_not_acted_on_stays_in_the_slice(self):
         st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
-        engine.flip_coin(st, engine.PEX)  # PEX at coin 1, vertex 00
+        # PEX at coin 1, vertex 00
+        st = engine.apply_pauli_word(st, PauliWord.single(PEX, "c", "X"))
         prog = middle_block()
         assert engine.PEX not in prog.walkers
         assert programs._slice(st, prog.walkers) == DATA_PARTICLES + (engine.PEX,)
@@ -355,7 +354,7 @@ class TestCache:
 
     def test_unknown_step_is_rejected(self):
         with pytest.raises(TypeError):
-            compile_program(WalkProgram("bad", (InjectionPoint("x"), "shift")), FIVE)
+            compile_program(WalkProgram("bad", (MeasureCoin(P1, "x"), "shift")), FIVE)
 
     def test_hit_does_no_per_step_work(self, monkeypatch):
         """A cached program is looked up by its stored hash: a second run
@@ -412,12 +411,20 @@ BUILT.update({f"inverse-{name}": inverted(prog) for name, prog in list(BUILT.ite
 
 class TestOneCoinStep:
     """Every coin update is a Coin step: a coin on one walker at every
-    vertex is ``Coin(CoinSpec.uniform((p,), u))``."""
+    vertex is ``Coin(CoinSpec.uniform((p,), u))``.  The four step kinds
+    compile to three segment kinds."""
 
     @pytest.mark.parametrize("name", sorted(BUILT))
     def test_builders_use_only_the_step_set(self, name):
-        allowed = (Coin, Shift, Neighbor, MeasureCoin, ResetAncilla, InjectionPoint)
+        allowed = (Coin, Shift, Neighbor, MeasureCoin)
         assert [s for s in BUILT[name].steps if type(s) not in allowed] == []
+
+    @pytest.mark.parametrize("name", sorted(BUILT))
+    def test_builders_compile_to_the_segment_set(self, name):
+        layout = SIX if PEX in BUILT[name].walkers else FIVE
+        allowed = (WalkerMaps, SignedPermutation, MeasureCoin)
+        segs = compile_program(BUILT[name], layout)
+        assert [s for s in segs if type(s) not in allowed] == []
 
     @pytest.mark.parametrize("layout", [FIVE, SIX], ids=["FIVE", "SIX"])
     def test_one_walker_coin_compiles_to_kron(self, layout, rng):
@@ -463,16 +470,15 @@ def x_on(*walkers):   # a coin X at every vertex is a signed permutation
 
 
 class TestScheduling:
-    """Maps on walkers a barrier run does not touch run before it; re-parks
-    fuse into the collapse; the source program is unchanged."""
+    """Maps on walkers a measurement run does not touch run before it; the
+    source program is unchanged."""
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_cycle_runs_every_data_map_before_the_next_measurements(self, parity):
         assert shape(build_full_cycle(parity), FIVE) == [
-            "InjectionPoint",
-            "mapsP1P3", "perm", "mapsP1P3", "_Repark", "_Repark",
-            "mapsP1P3", "perm", "mapsP1P3P0P2P4", "_Repark", "_Repark",
-            "mapsP1P3", "perm", "mapsP1P3P0P2P4", "_Repark", "_Repark"]
+            "mapsP1P3", "perm", "mapsP1P3", "MeasureCoin", "MeasureCoin",
+            "mapsP1P3", "perm", "mapsP1P3P0P2P4", "MeasureCoin", "MeasureCoin",
+            "mapsP1P3", "perm", "mapsP1P3P0P2P4", "MeasureCoin", "MeasureCoin"]
 
     def test_hoisting_makes_no_new_products(self):
         """Moved maps are the source segment's operands, appended in order."""
@@ -488,51 +494,25 @@ class TestScheduling:
         ((h_on(0, 1), MeasureCoin(P1, "a"), h_on(0, 1)),
          ["mapsP0P1P0", "MeasureCoin", "mapsP1"]),
         # every walker the later segment moves is touched: nothing moves
-        ((h_on(1, 3), MeasureCoin(P1, "a"), ResetAncilla(P3), h_on(1, 3)),
-         ["mapsP1P3", "MeasureCoin", "ResetAncilla", "mapsP1P3"]),
-        # an InjectionPoint in the run, or before it, stops the move
-        ((h_on(0, 1), MeasureCoin(P1, "a"), InjectionPoint("x"), h_on(0)),
-         ["mapsP0P1", "MeasureCoin", "InjectionPoint", "mapsP0"]),
-        ((h_on(0, 1), InjectionPoint("x"), MeasureCoin(P1, "a"), h_on(0)),
-         ["mapsP0P1", "InjectionPoint", "MeasureCoin", "mapsP0"]),
+        ((h_on(1, 3), MeasureCoin(P1, "a"), MeasureCoin(P3, "b"), h_on(1, 3)),
+         ["mapsP1P3", "MeasureCoin", "MeasureCoin", "mapsP1P3"]),
         # a SignedPermutation before the run, or after it, stops the move
         ((h_on(1), x_on(0), MeasureCoin(P1, "a"), h_on(0)),
          ["mapsP1", "perm", "MeasureCoin", "mapsP0"]),
         ((h_on(0, 1), MeasureCoin(P1, "a"), x_on(0), Neighbor(), h_on(0)),
          ["mapsP0P1", "MeasureCoin", "perm", "mapsP0"]),
         # a segment emptied by the move lets the next one move across both runs
-        ((h_on(0, 1), MeasureCoin(P1, "a"), h_on(0), ResetAncilla(P1), h_on(2)),
-         ["mapsP0P1P0P2", "_Repark"]),
-    ], ids=["own-walker", "all-touched", "injection-in-run", "injection-before",
-            "perm-before", "perm-after", "emptied-segment"])
+        ((h_on(0, 1), MeasureCoin(P1, "a"), h_on(0), MeasureCoin(P1, "b"), h_on(2)),
+         ["mapsP0P1P0P2", "MeasureCoin", "MeasureCoin"]),
+    ], ids=["own-walker", "all-touched", "perm-before", "perm-after", "emptied-segment"])
     def test_what_moves(self, steps, want, rng):
         program = WalkProgram("scheduled", steps)
         assert shape(program, FIVE) == want
         st = random_state(FIVE, rng)
-        for policy in ({"all_branches": True}, {"rng": np.random.default_rng(2)}):
-            assert_same_branches(run_program(st, program, **policy),
-                                 interpret_program(st, program, **policy))
-
-    @pytest.mark.parametrize("steps,want", [
-        ((MeasureCoin(P1, "a"), MeasureCoin(P3, "b"), ResetAncilla(P1), ResetAncilla(P3)),
-         ["_Repark", "_Repark"]),
-        # the reset pairs with the walker's last measurement before it
-        ((MeasureCoin(P1, "a"), MeasureCoin(P1, "b"), ResetAncilla(P1)),
-         ["MeasureCoin", "_Repark"]),
-        # a reset of another walker, or one across an array segment, stays
-        ((MeasureCoin(P1, "a"), ResetAncilla(P3)), ["MeasureCoin", "ResetAncilla"]),
-        ((MeasureCoin(P1, "a"), h_on(1), ResetAncilla(P1)),
-         ["MeasureCoin", "mapsP1", "ResetAncilla"]),
-        ((MeasureCoin(P1, "a"), InjectionPoint("x"), ResetAncilla(P1)),
-         ["MeasureCoin", "InjectionPoint", "ResetAncilla"]),
-    ], ids=["cycle-read", "second-measurement", "other-walker", "across-maps",
-            "across-injection"])
-    def test_which_resets_fuse(self, steps, want, rng):
-        program = WalkProgram("reparks", steps)
-        assert shape(program, FIVE) == want
-        st = random_state(FIVE, rng)
         assert_same_branches(run_program(st, program, all_branches=True),
                              interpret_program(st, program, all_branches=True))
+        assert_same_branches(run_program(st, program, rng=np.random.default_rng(2)),
+                             interpret_program(st, program, rng=np.random.default_rng(2)))
 
 
 REPARK_SLOTS = [(lay, p) for lay in (FIVE, SIX, verify.CHECK_LAYOUT) for p in lay.particles]
@@ -542,46 +522,36 @@ REPARK_IDS = [f"{'CHECK' if lay.parked else 'SIX' if lay.with_external else 'FIV
 
 @pytest.mark.parametrize("layout,particle", REPARK_SLOTS, ids=REPARK_IDS)
 class TestReparkInTheCollapse:
-    """``measure_coin(repark=True)`` leaves the bits of ``measure_coin``
-    followed, on outcome 1, by ``flip_coin``."""
-
-    @staticmethod
-    def collapse_then_flip(state, particle, **policy):
-        results = engine.measure_coin(state, particle, **policy)
-        for bit, post, _ in results if policy.get("both_branches") else [results]:
-            if bit:
-                engine.flip_coin(post, particle)
-        return results
-
-    @staticmethod
-    def bits(results):
-        return [(bit, post.amps.view(np.uint64).tobytes(), prob) for bit, post, prob in results]
+    """``measure_coin`` leaves the bits of a complex-division collapse
+    followed, on outcome 1, by a swap of the two coin halves: the coin is
+    read and reset to 0."""
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_forced(self, layout, particle, bit, rng):
         st = random_state(layout, rng)
-        want = self.collapse_then_flip(st.copy(), particle, forced=bit)
         mine = st.copy()
-        got = engine.measure_coin(mine, particle, forced=bit, repark=True)
-        assert got[1] is mine
-        assert self.bits([got]) == self.bits([want])
+        got = engine.measure_coin(mine, particle, forced=bit)
+        assert got[0] == bit and got[1] is mine
+        assert mine.amps.tobytes() == reset_reference(st, particle, bit, got[2]).tobytes()
 
     def test_both_branches(self, layout, particle, rng):
         st = random_state(layout, rng)
-        want = self.collapse_then_flip(st.copy(), particle, both_branches=True)
-        got = engine.measure_coin(st.copy(), particle, both_branches=True, repark=True)
+        got = engine.measure_coin(st.copy(), particle, both_branches=True)
         assert [bit for bit, _, _ in got] == [0, 1]
-        assert self.bits(got) == self.bits(want)
+        for bit, post, prob in got:
+            assert post.amps.tobytes() == reset_reference(st, particle, bit, prob).tobytes()
 
     def test_certain_outcome_one(self, layout, particle, rng):
         """A coin-0 half of exactly 0.0 makes outcome 1 certain: the half
-        moves to coin 0 unscaled, -0.0 included."""
+        moves to coin 0 unscaled, -0.0 included.  So the bits are the swap
+        of the input; the complex division, which turns a -0.0 real part
+        into +0.0, gives the same values."""
         st = random_state(layout, rng)
         view = st.coin_view(particle)
         view[:, 0] = 0.0
         view[:, 1].real[..., ::3] = -0.0
-        want = self.collapse_then_flip(st.copy(), particle, forced=1)
-        got = engine.measure_coin(st.copy(), particle, forced=1, repark=True)
-        assert got[2] == want[2] == 1.0
-        assert self.bits([got]) == self.bits([want])
+        got = engine.measure_coin(st.copy(), particle, forced=1)
+        assert got[2] == 1.0
+        assert got[1].amps.tobytes() == swap_reference(st, particle).tobytes()
+        assert np.array_equal(got[1].amps, reset_reference(st, particle, 1, 1.0))
         assert got[1].coin_view(particle)[:, 0].tobytes() == view[:, 1].tobytes()

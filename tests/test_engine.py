@@ -13,6 +13,7 @@ from walkqec.pauli import (DATA_PARTICLES, LOGICAL_X, LOGICAL_Z, P1, P3, PEX, RO
                            PauliWord, STABILIZERS, from_triples, q)
 
 from conftest import position_distribution, random_state, walker_map_reference
+from reference import collapse_reference, reset_reference, swap_reference
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
@@ -341,15 +342,17 @@ class TestEveryWalkerSlot:
 
     def test_measure_coin_both_branches(self, layout, particle, rng):
         st = random_state(layout, rng)
-        # P_bit = (1 + (-1)^bit Zc) / 2 with Zc = kron(Z, I4)
+        # P_bit = (1 + (-1)^bit Zc) / 2 with Zc = kron(Z, I4), then Xc^bit resets the coin
         zc = walker_map_reference(st, particle, np.kron(COIN_Z, np.eye(4)))
         branches = measure_coin(st.copy(), particle, both_branches=True)
         assert [bit for bit, _, _ in branches] == [0, 1]
         for bit, post, prob in branches:
             projected = 0.5 * (st.amps + (-1) ** bit * zc.amps)
             want = np.vdot(projected, projected).real
+            reset = walker_map_reference(engine.StateVector(layout, projected / np.sqrt(want)),
+                                         particle, np.kron(COIN_X if bit else COIN_I, np.eye(4)))
             assert abs(prob - want) < 1e-12
-            assert np.max(np.abs(post.amps - projected / np.sqrt(want))) < 1e-12
+            assert np.max(np.abs(post.amps - reset.amps)) < 1e-12
 
     def test_coin_one_probability(self, layout, particle, rng):
         st = random_state(layout, rng)
@@ -373,13 +376,14 @@ class TestEveryWalkerSlot:
             if len(got) == 2:
                 assert not np.shares_memory(got[0][1].amps, mine.amps), name
             for bit, post, prob in got:
-                assert np.array_equal(post.amps, collapse_reference(st, particle, bit, prob)), name
+                assert np.array_equal(post.amps, reset_reference(st, particle, bit, prob)), name
 
     def test_flip_coin_is_coin_x(self, layout, particle, rng):
+        """X on a walker's coin as a Pauli word, the tests' way to move a
+        parked walker off coin 0, is coin X bit for bit."""
         st = random_state(layout, rng)
         want = engine.apply_local_coin(st, particle, COIN_X)
-        got = st.copy()
-        assert engine.flip_coin(got, particle) is got
+        got = apply_pauli_word(st, PauliWord.single(particle, "c", "X"))
         assert got.amps.tobytes() == want.amps.tobytes()
 
     def test_pauli_word_with_phase(self, layout, particle, rng):
@@ -438,33 +442,19 @@ def test_real_operand_pass_equals_the_complex_one(layout, particle, rng):
     assert np.max(np.abs(real.amps - walker_map_reference(st, particle, u8).amps)) < 1e-12
 
 
-def collapse_reference(state, particle, bit, prob):
-    """The collapse as a complex division of the kept coin half."""
-    want = np.zeros_like(state.amps)
-    np.divide(state.coin_view(particle)[:, bit], np.sqrt(prob),
-              out=want.reshape(state.coin_view(particle).shape)[:, bit])
-    return want
-
-
-def swap_reference(state, particle):
-    """Coin X as an explicit swap of the two coin halves."""
-    view = state.coin_view(particle)
-    return np.stack([view[:, 1], view[:, 0]], axis=1).reshape(-1)
-
-
 @pytest.mark.parametrize("layout,particle", EVERY_SLOT, ids=EVERY_SLOT_IDS)
 class TestBarrierKernels:
-    """Coin collapse and ancilla reset, slot by slot."""
+    """The measure-reset, slot by slot."""
 
     def test_collapse_equals_complex_division(self, layout, particle, rng):
         st = random_state(layout, rng)
         for bit, post, prob in measure_coin(st.copy(), particle, both_branches=True):
-            assert np.array_equal(post.amps, collapse_reference(st, particle, bit, prob))
+            assert np.array_equal(post.amps, reset_reference(st, particle, bit, prob))
 
     @pytest.mark.parametrize("bit", [0, 1])
     def test_certain_outcome_keeps_its_half_bit_for_bit(self, layout, particle, bit, rng):
         """An outcome of probability exactly 1.0 keeps its half as it is,
-        -0.0 included."""
+        -0.0 included, in coin 0."""
         st = random_state(layout, rng)
         view = st.coin_view(particle)
         view[:, 1 - bit] = 0.0
@@ -476,30 +466,31 @@ class TestBarrierKernels:
         got, post, prob = measure_coin(st, particle, forced=bit)
         assert (got, prob) == (bit, 1.0)
         assert post is st
-        assert post.coin_view(particle)[:, bit].tobytes() == kept
-        assert not post.coin_view(particle)[:, 1 - bit].view(np.uint64).any()
+        assert post.coin_view(particle)[:, 0].tobytes() == kept
+        assert not post.coin_view(particle)[:, 1].view(np.uint64).any()
 
     def test_flip_of_a_random_state(self, layout, particle, rng):
+        """The tests' swap of the coin halves is coin X, bit for bit."""
         st = random_state(layout, rng)
         want = engine.apply_local_coin(st, particle, COIN_X)
-        assert engine.flip_coin(st, particle).amps.tobytes() == want.amps.tobytes()
+        assert swap_reference(st, particle).tobytes() == want.amps.tobytes()
 
     def test_flip_after_a_collapse_onto_one(self, layout, particle, rng):
-        _, st, _ = measure_coin(random_state(layout, rng), particle, forced=1)
-        want = engine.apply_local_coin(st, particle, COIN_X)
-        assert engine.flip_coin(st, particle).amps.tobytes() == want.amps.tobytes()
+        """Outcome 1 leaves the collapse followed by coin X."""
+        st = random_state(layout, rng)
+        _, post, prob = measure_coin(st.copy(), particle, forced=1)
+        collapsed = engine.StateVector(layout, collapse_reference(st, particle, 1, prob))
+        want = engine.apply_local_coin(collapsed, particle, COIN_X)
+        assert post.amps.tobytes() == want.amps.tobytes()
 
     def test_flip_keeps_negative_zeros(self, layout, particle, rng):
-        """A coin-0 half of -0.0 is not all +0.0 bits, so it takes the swap.
-        The complex product rounds -0.0 to +0.0, so it matches in value."""
+        """A -0.0 in the kept half keeps its sign in coin 0, scaled or not;
+        the complex division would turn a -0.0 real part into +0.0."""
         st = random_state(layout, rng)
-        st.coin_view(particle)[:, 0] = complex(-0.0, -0.0)
-        want = swap_reference(st, particle)
-        by_value = engine.apply_local_coin(st, particle, COIN_X)
-        got = engine.flip_coin(st, particle)
-        assert got.amps.tobytes() == want.tobytes()
-        assert np.signbit(got.coin_view(particle)[:, 1].view(np.float64)).all()
-        assert np.array_equal(got.amps, by_value.amps)
+        view = st.coin_view(particle)
+        view.real[..., ::3] = -0.0
+        for _, post, _ in measure_coin(st.copy(), particle, both_branches=True):
+            assert np.signbit(post.coin_view(particle)[:, 0].real[..., ::3]).all()
 
 
 class TestSignedPermutation:
@@ -538,6 +529,14 @@ class TestMeasurement:
         st = all_at_origin(FIVE)
         with pytest.raises(ValueError):
             measure_coin(st, 0, forced=1)
+
+    @pytest.mark.parametrize("forced", [-1, 2])
+    def test_forced_outcome_outside_zero_and_one(self, forced):
+        st = apply_coin(all_at_origin(FIVE), CoinSpec({(0, "00"): COIN_H}))
+        before = st.amps.copy()
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            measure_coin(st, 0, forced=forced)
+        assert np.array_equal(st.amps, before)
 
     def test_seeded_reproducible(self):
         st = apply_coin(all_at_origin(FIVE), CoinSpec({(0, "00"): COIN_H}))

@@ -48,11 +48,6 @@ class TestStructure:
         prog = build_basis_transform(())
         assert all(isinstance(s, Shift) for s in prog.steps)
 
-    def test_injection_point_at_cycle_start(self):
-        step = build_full_cycle(0).steps[0]
-        assert isinstance(step, programs.InjectionPoint)
-        assert step.tag == "cycle-start"
-
     def test_listing_serialization(self):
         text = build_syndrome_step("s0s2").listing()
         lines = text.splitlines()
