@@ -50,12 +50,21 @@ The slice is exact for a run that acts on no parked walker: a shift
 fixes b = 0 and the neighbor step is diagonal, so the amplitudes outside
 the slice stay exactly 0.0.
 
+``extend`` makes the array it fills read-only and records on the state
+the walkers it left free (``StateVector.unparked``).  The record holds
+only while the state holds that same read-only array: a copy, a swapped
+array or one made writable again reads as every walker free.  The
+executor's slice skips the scan for every walker the record parks, and
+``restrict`` skips its weight pass when the record parks every walker
+outside its ``keep``.
+
 Working arrays come from ``empty_amps``: ``StateVector.copy``, the
 shift's gather, a walker-map operation's passes, the first of two
 measurement children, ``extend``, and the executor's start copy and
 scratch.  Arrays of 8,192 to 32,768 amplitudes (a FIVE state) are
 recycled: one is handed out again once no state, branch or view
-references it, so a campaign trial stops re-faulting its memory.  Other
+references it, so a campaign trial stops re-faulting its memory; it is
+made writable first, as ``extend`` may have made it read-only.  Other
 sizes are new arrays.  Every caller writes every element it is handed,
 so no result depends on what an array held before.
 """
@@ -262,12 +271,13 @@ class _Recycler:
             return sys.getrefcount(item)
 
     def empty(self, dim: int) -> np.ndarray:
-        """An uninitialized complex array of ``dim`` amplitudes."""
+        """An uninitialized, writable complex array of ``dim`` amplitudes."""
         if dim not in self.SIZES:
             return np.empty(dim, dtype=complex)
         held = self.held.setdefault(dim, [])
         for arr in held:
             if sys.getrefcount(arr) == self._free_refs:
+                arr.flags.writeable = True   # ``extend`` may have made it read-only
                 return arr
         arr = np.empty(dim, dtype=complex)
         if len(held) < self.HELD_PER_SIZE:
@@ -279,15 +289,29 @@ empty_amps = _Recycler().empty
 
 
 class StateVector:
-    """Complex amplitudes over the walkers' (coin, vertex) product basis."""
+    """Complex amplitudes over the walkers' (coin, vertex) product basis.
 
-    __slots__ = ("layout", "amps")
+    Only ``extend`` sets the record ``unparked`` reads; every other
+    constructor, ``copy`` included, leaves it unset.
+    """
+
+    __slots__ = ("layout", "amps", "_extended")
 
     def __init__(self, layout: Layout, amps: np.ndarray):
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude array must have shape ({layout.dim},)")
         self.layout = layout
         self.amps = amps
+        self._extended: Optional[tuple] = None   # (free walkers, array), set by extend
+
+    def unparked(self) -> tuple:
+        """The walkers that may sit away from b = 0: those ``extend`` left
+        free, while the state still holds the read-only array it filled;
+        every walker of the layout otherwise."""
+        record = self._extended
+        if record is not None and record[1] is self.amps and not self.amps.flags.writeable:
+            return record[0]
+        return self.layout.particles
 
     def copy(self) -> "StateVector":
         amps = empty_amps(self.layout.dim)
@@ -359,8 +383,13 @@ def take_slice(state: StateVector, keep: Iterable[int]) -> StateVector:
 
 def restrict(state: StateVector, keep: Iterable[int]) -> StateVector:
     """``take_slice``, checked: raises ValueError when more than
-    ``PARKED_TOL`` of the state's weight lies outside the slice."""
+    ``PARKED_TOL`` of the state's weight lies outside the slice.  The
+    check is skipped when ``extend`` built the array with every walker
+    outside ``keep`` parked (``StateVector.unparked``)."""
+    keep = tuple(keep)
     small = take_slice(state, keep)
+    if set(state.unparked()) <= set(keep):
+        return small
     outside = float(np.vdot(state.amps, state.amps).real - np.vdot(small.amps, small.amps).real)
     if outside > PARKED_TOL:
         raise ValueError(f"walkers outside the kept ones are not parked: weight "
@@ -375,13 +404,19 @@ def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:
     The array comes from ``empty_amps`` and is zeroed in full, so every
     amplitude and every page is written.  Pages of an ``np.zeros`` array
     that are never written stay unmapped, and how much of such an array
-    is resident follows the host's huge-page policy, not the state.
+    is resident follows the host's huge-page policy, not the state.  The
+    array is then made read-only and the state records the walkers left
+    free (``StateVector.unparked``), so a later slice need not scan for
+    them.
     """
     index, small = _parked_index(layout, keep)
     amps = empty_amps(layout.dim)
     amps.fill(0j)
     amps.reshape((8,) * layout.num_particles)[index] = vec.reshape((8,) * small.num_particles)
-    return StateVector(layout, amps)
+    amps.flags.writeable = False
+    state = StateVector(layout, amps)
+    state._extended = (small.particles, amps)
+    return state
 
 
 class CoinSpec:

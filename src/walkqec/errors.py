@@ -29,7 +29,10 @@ for _v in range(4):
 
 @dataclass(frozen=True)
 class CoinError:
-    """E at each vertex: blocks[v] acts on the coin when the walker sits at v."""
+    """E at each vertex: blocks[v] acts on the coin when the walker sits at v.
+
+    The blocks are kept as read-only complex copies, so the caller's
+    arrays can change after the check without changing the spec."""
 
     blocks: tuple  # four 2x2 matrices, indexed by v = 2x + y
     target: int
@@ -37,10 +40,14 @@ class CoinError:
     def __post_init__(self) -> None:
         if len(self.blocks) != 4:
             raise ValueError("coin error needs exactly four vertex blocks")
+        blocks = []
         for v, b in enumerate(self.blocks):
-            m = np.asarray(b, dtype=complex)
+            m = np.array(b, dtype=complex)
             if m.shape != (2, 2) or not is_unitary(m):
                 raise ValueError(f"coin error block at vertex v={v} is not a 2x2 unitary")
+            m.flags.writeable = False
+            blocks.append(m)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
 
 @dataclass(frozen=True)

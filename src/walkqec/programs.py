@@ -31,17 +31,20 @@ cache's key, and equal programs built twice share one entry.
 Each run covers only the walkers the program moves.  The slice keeps the
 walkers its Coin entries and MeasureCoin steps act on, and any other
 walker with a nonzero amplitude away from b = 0, found by an exact
-``!= 0`` scan.  The rest are parked (``engine.take_slice``): a Shift
-fixes b = 0 and Neighbor is diagonal, so their amplitudes outside the
-slice are exactly 0.0 before and after the run, and extending each
-branch back (``engine.extend``) loses no weight.  On a freshly encoded
-six-walker state a T gate runs on 4,096 amplitudes and a transversal
-Clifford on 512.  The start copy, the segment scratch and the
-measurement children come from ``engine.empty_amps``, so the
-32,768-amplitude arrays of a syndrome cycle on FIVE are recycled from
-run to run.  ``run_program`` is the one executor; the tests compare it
-with a per-step reference.  ``listing()`` and the step counts describe
-the source program.
+``!= 0`` scan.  A walker that ``engine.extend`` parked in the input's
+array, which the input still holds read-only, is known to be at b = 0
+and not scanned; the others are scanned on the slice ``extend`` left
+free, so the slice of an extended state makes no pass over its array.
+The rest are parked (``engine.take_slice``): a Shift fixes b = 0 and
+Neighbor is diagonal, so their amplitudes outside the slice are exactly
+0.0 before and after the run, and extending each branch back
+(``engine.extend``) loses no weight.  On a freshly encoded six-walker
+state a T gate runs on 4,096 amplitudes and a transversal Clifford on
+512.  The start copy, the segment scratch and the measurement children
+come from ``engine.empty_amps``, so the 32,768-amplitude arrays of a
+syndrome cycle on FIVE are recycled from run to run.  ``run_program``
+is the one executor; the tests compare it with a per-step reference.
+``listing()`` and the step counts describe the source program.
 """
 
 from __future__ import annotations
@@ -412,19 +415,30 @@ def _slice(state: StateVector, acted: frozenset) -> tuple:
     """The walkers a run on ``state`` keeps: those in ``acted`` and any
     other with a nonzero amplitude away from b = 0.
 
-    The scan is exact (``!= 0``) and skipped when ``acted`` covers the
-    layout.  A walker left out is at b = 0 in every nonzero amplitude; a
-    Shift fixes b = 0 and Neighbor is diagonal, so its amplitudes outside
-    b = 0 are exactly 0.0 before and after any run that does not act on it.
+    A walker that ``extend`` parked when it built the state's array, which
+    the state still holds read-only, is at b = 0 without a scan
+    (``StateVector.unparked``).  The other idle walkers are scanned
+    exactly (``!= 0``) on the slice of the unparked walkers; there is no
+    scan when ``acted`` covers them.  A walker left out is at b = 0 in
+    every nonzero amplitude; a Shift fixes b = 0 and Neighbor is diagonal,
+    so its amplitudes outside b = 0 are exactly 0.0 before and after any
+    run that does not act on it.
     """
     layout = state.layout
     idle = [p for p in layout.particles if p not in acted]
     if not idle:
         return layout.particles
+    unparked = state.unparked()
+    if len(unparked) < len(layout.particles):
+        idle = [p for p in idle if p in unparked]
+        if not idle:
+            return tuple(p for p in layout.particles if p in acted)
+        state = engine.take_slice(state, unparked)
     # real and imaginary parts side by side: a walker's b axis sits above
     # 2 * 8 ** slot of them, and -0.0 counts as zero, as it does for complex
     nonzero = state.amps.view(np.float64) != 0
-    moving = {p for p in idle if nonzero.reshape(-1, 8, 2 * 8 ** layout.slot(p))[:, 1:].any()}
+    slot = state.layout.slot
+    moving = {p for p in idle if nonzero.reshape(-1, 8, 2 * 8 ** slot(p))[:, 1:].any()}
     return tuple(p for p in layout.particles if p in acted or p in moving)
 
 

@@ -128,10 +128,16 @@ class TestEncode:
     def test_sessions_from_the_prepared_cache_do_not_alias(self):
         first = encoded_session(0.8, 0.6j)
         want = first.state.amps.copy()
-        first.state.amps[:] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            first.state.amps[:] = 0
         second = encoded_session(0.8, 0.6j)
         assert not np.shares_memory(first.state.amps, second.state.amps)
+        first.state = first.state.copy()   # extend's array is read-only
+        first.state.amps[:] = 0
         assert np.array_equal(second.state.amps, want)
+        with pytest.raises(ValueError, match="read-only"):
+            second.state.amps *= 2
+        second.state = second.state.copy()
         second.state.amps *= 2
         assert np.array_equal(encoded_session(0.8, 0.6j).state.amps, want)
         twin = second.clone()
@@ -305,6 +311,7 @@ class TestFrame:
     def test_physical_application_checks_norm(self):
         ses = encoded_session(0.8, 0.6j)
         ses.frame.word = PauliWord.single(0, "y", "X")
+        ses.state = ses.state.copy()   # extend's array is read-only
         ses.state.amps *= 1.01
         with pytest.raises(ValueError):
             apply_frame_physically(ses)

@@ -47,6 +47,12 @@ def assert_same_branches(fused, reference):
         assert np.max(np.abs(a.state.amps - b.state.amps)) < 1e-12
 
 
+def assert_identical_branches(a, b):
+    assert [br.outcomes for br in a] == [br.outcomes for br in b]
+    assert [br.probability for br in a] == [br.probability for br in b]
+    assert [br.state.amps.tobytes() for br in a] == [br.state.amps.tobytes() for br in b]
+
+
 def encoded_random(rng):
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     amps /= np.linalg.norm(amps)
@@ -231,7 +237,7 @@ class TestSlice:
         assert_same_branches(run_program(st, prog), interpret_program(st, prog))
 
     def test_tiny_amplitude_widens_the_slice(self):
-        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
+        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state.copy()   # writable
         flat = 4 << 3 * SIX.slot(P1)  # P1 at coin 1, every other walker at b = 0
         assert st.amps[flat] == 0
         st.amps[flat] = 1e-300
@@ -261,6 +267,83 @@ def off_park_residue(state):
     parked = engine.extend(state.layout, DATA_PARTICLES,
                            engine.take_slice(state, DATA_PARTICLES).amps)
     return np.max(np.abs(state.amps - parked.amps))
+
+
+TINY_P1 = 4 << 3 * SIX.slot(P1)   # P1 at coin 1, every other walker at b = 0
+
+
+class TestExtendRecord:
+    """``extend`` records the walkers it left free on a read-only array;
+    the slice trusts the record only while the state holds that array."""
+
+    @pytest.mark.parametrize("name", ON_FIVE)
+    def test_five_runs_equal_runs_on_a_writable_copy(self, name, rng):
+        st = parked_input(FIVE, rng)
+        assert st.unparked() == DATA_PARTICLES
+        prog = PROGRAMS[name]
+        assert programs._slice(st, prog.walkers) == programs._slice(st.copy(), prog.walkers)
+        assert_identical_branches(run_program(st, prog, all_branches=True),
+                                  run_program(st.copy(), prog, all_branches=True))
+
+    @pytest.mark.parametrize("name", list(PROGRAMS))
+    @pytest.mark.parametrize("keep", [DATA_PARTICLES, DATA_PARTICLES + (engine.PEX,)],
+                             ids=["data", "data+PEX"])
+    def test_six_runs_equal_runs_on_a_writable_copy(self, name, keep, rng):
+        st = parked_input(SIX, rng, keep)
+        assert st.unparked() == keep
+        prog = PROGRAMS[name]
+        assert programs._slice(st, prog.walkers) == programs._slice(st.copy(), prog.walkers)
+        assert_identical_branches(run_program(st, prog, rng=np.random.default_rng(5)),
+                                  run_program(st.copy(), prog, rng=np.random.default_rng(5)))
+
+    def test_extended_array_is_read_only(self):
+        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
+        with pytest.raises(ValueError, match="read-only"):
+            st.amps[TINY_P1] = 1e-300
+        with pytest.raises(ValueError, match="read-only"):
+            st.amps *= 2
+        assert st.copy().amps.flags.writeable
+
+    @pytest.mark.parametrize("how", ["swapped", "copied", "writable again"])
+    def test_record_is_dropped_with_its_array(self, how):
+        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
+        if how == "swapped":
+            amps = st.amps.copy()
+            amps[TINY_P1] = 1e-300
+            amps.flags.writeable = False
+            st.amps = amps
+        elif how == "copied":
+            st = st.copy()
+            st.amps[TINY_P1] = 1e-300
+        else:
+            st.amps.flags.writeable = True
+            st.amps[TINY_P1] = 1e-300
+        assert st.unparked() == SIX.particles
+        prog = build_logical_clifford("H")
+        assert programs._slice(st, prog.walkers) == (0, P1, 2, 4)
+
+    def test_restrict_checks_an_array_made_writable_again(self):
+        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
+        st.amps.flags.writeable = True
+        st.amps[TINY_P1] = 1e-3
+        with pytest.raises(ValueError, match="not parked"):
+            engine.restrict(st, DATA_PARTICLES)
+
+    def test_after_t_the_record_keeps_pex(self):
+        ses = codec.encoded_session(0.8, 0.6j, layout=SIX)
+        assert ses.state.unparked() == DATA_PARTICLES
+        codec.apply_logical_gate(ses, "T")
+        assert ses.state.unparked() == DATA_PARTICLES + (PEX,)
+        walkers = build_logical_clifford("H").walkers
+        assert programs._slice(ses.state, walkers) == programs._slice(ses.state.copy(), walkers)
+
+    def test_restrict_on_the_record_equals_the_checked_restriction(self, rng):
+        st = parked_input(SIX, rng, DATA_PARTICLES + (PEX,))
+        for keep in (DATA_PARTICLES + (PEX,), SIX.particles):
+            assert (engine.restrict(st, keep).amps.tobytes()
+                    == engine.restrict(st.copy(), keep).amps.tobytes())
+        with pytest.raises(ValueError, match="not parked"):
+            engine.restrict(st, DATA_PARTICLES)
 
 
 class TestAncillasParkExactly:

@@ -53,6 +53,19 @@ class TestRealize:
         with pytest.raises(ValueError, match="branch"):
             realize(ShiftError(((1, 1, 0), (1, 0, 0)), 0))
 
+    def test_coin_error_keeps_its_own_blocks(self):
+        """A write into the caller's array after construction changes
+        neither the spec, its JSON nor its injection."""
+        b = np.eye(2)
+        spec = CoinError((b, I2, I2, X2), 1)
+        before = to_json(spec)
+        b[0, 0] = 2
+        assert to_json(spec) == before
+        assert np.array_equal(realize(spec), realize(CoinError((I2, I2, I2, X2), 1)))
+        assert all(not blk.flags.writeable for blk in spec.blocks)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.blocks[0][0, 0] = 2
+
     def test_pauli_flip_support_check(self):
         with pytest.raises(ValueError):
             realize(PauliFlip(PauliWord.single(0, "c", "X"), 2))

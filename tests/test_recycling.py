@@ -96,3 +96,16 @@ def test_campaign_ops_take_only_arrays_already_held(recycler):
     for k in range(60):
         _campaign_op(rng, *CELLS[k % len(CELLS)])
     assert [id(a) for a in recycler.held[FIVE.dim]] == held
+
+
+def test_a_read_only_array_is_handed_out_writable(recycler):
+    """``extend`` makes its FIVE array read-only; once it is released, the
+    recycler hands it out writable."""
+    state = codec.encoded_session(0.6, 0.8).state
+    assert not state.amps.flags.writeable
+    address = state.amps.ctypes.data
+    del state
+    again = engine.empty_amps(FIVE.dim)
+    assert again.ctypes.data == address
+    assert again.flags.writeable
+    again[:] = 0
