@@ -23,6 +23,9 @@ import numpy as np
 from . import codec, pauli, verify
 
 TARGET_NAMES = {"P0": 0, "P2": 2, "P4": 4}
+# Pass bound of error-sweep (fidelity >= 1 - TOLERANCE) and of logical-gates
+# (Bloch deviation < TOLERANCE).
+TOLERANCE = 1e-8
 
 
 def _timestamp() -> str:
@@ -88,8 +91,7 @@ def cmd_error_sweep(args) -> int:
                                                args.monte_carlo))
                 index += 1
     fidelities = [r["fidelity"] for r in rows]
-    tolerance = args.tolerance if args.tolerance is not None else 1e-8
-    ok = all(f >= 1 - tolerance for f in fidelities)
+    ok = all(f >= 1 - TOLERANCE for f in fidelities)
     out_path = _out_path(args, "error_sweep.csv")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=["trial", "family", "target", "syndrome", "fidelity"])
@@ -106,7 +108,7 @@ def cmd_error_sweep(args) -> int:
         "seed": args.seed,
         "config": {"trials": args.trials, "families": families,
                    "targets": [f"P{t}" for t in targets],
-                   "monte_carlo": bool(args.monte_carlo), "tolerance": tolerance},
+                   "monte_carlo": bool(args.monte_carlo), "tolerance": TOLERANCE},
         "timestamp": _timestamp(),
         "summary": {
             "pass": bool(ok),
@@ -158,17 +160,16 @@ def _gate_words(text: str) -> str:
 
 def cmd_logical_gates(args) -> int:
     words = args.words.split(",") if args.words else list(GATE_WORDS)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-8
     results = []
     for word in words:
         worst = verify.gate_word_deviation(word)
         results.append({"word": word, "max_deviation": worst,
-                        "tolerance": tolerance, "pass": bool(worst < tolerance)})
+                        "tolerance": TOLERANCE, "pass": bool(worst < TOLERANCE)})
     ok = all(r["pass"] for r in results)
     report = {
         "command": "logical-gates",
         "seed": args.seed,
-        "config": {"words": words, "tolerance": tolerance},
+        "config": {"words": words, "tolerance": TOLERANCE},
         "timestamp": _timestamp(),
         "results": results,
         "summary": {"pass": bool(ok),
@@ -193,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification suite for walk-based quantum error correction")
     parser.add_argument("--seed", type=int, default=2024, help="base RNG seed")
     parser.add_argument("--out", type=str, default=None, help="output path")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the command's pass tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-tables", help="check the operator table and syndrome rows")

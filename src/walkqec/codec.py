@@ -164,7 +164,6 @@ class Session:
         self.frame = PauliFrame()
         self.axes = AxisFrame()
         self.rng = rng
-        self.injected: list = []
         self.displacement = 0
 
     @property
@@ -190,7 +189,6 @@ class Session:
         s.frame = PauliFrame(self.frame.word, list(self.frame.log), self.frame.uncorrectable)
         s.axes = AxisFrame()
         s.axes.axes = {k: list(v) for k, v in self.axes.axes.items()}
-        s.injected = list(self.injected)
         s.displacement = self.displacement
         return s
 
@@ -205,9 +203,13 @@ def prepare_logical_zero(layout: Layout = SIX, *,
     zero probability (e.g. -1 for s0..s3 from this start) raise.  The
     words act on the data walkers only, so the projections run on their
     512 amplitudes and the result is extended to ``layout`` once:
-    ``layout`` is any parking that keeps the data walkers.
+    ``layout`` is any parking that keeps the data walkers.  Without an
+    rng or forced signs the projections are the cached ``_data_zero``.
     """
-    data, refs = _project_zero(rng, dict(forced_signs or {}))
+    if rng is None and not forced_signs:
+        data, refs = _data_zero()
+    else:
+        data, refs = _project_zero(rng, dict(forced_signs or {}))
     return Session(engine.extend(layout, pauli.DATA_PARTICLES, data.amps),
                    SyndromeHistory(refs), rng)
 
@@ -268,14 +270,13 @@ def encode(session: Session, alpha: complex, beta: complex, *,
 
 
 def inject_error(session: Session, spec) -> Session:
-    """Apply an error spec to the session's state and record it.
+    """Apply an error spec to the session's state.
 
     The error acts in the lab frame, whatever the session's
     ``displacement``.  At displacement 2 a lab-frame coin X on a walker
     equals its home-frame (Xc Xx Xy), which has syndrome 000000.
     """
     session.state = errors.inject(session.state, spec)
-    session.injected.append(errors.to_json(spec))
     return session
 
 
@@ -503,24 +504,6 @@ def ideal_bloch_map(word: str, bloch: tuple) -> tuple:
            np.trace(rho @ np.array([[0, -1j], [1j, 0]])).real,
            np.trace(rho @ np.diag([1, -1])).real)
     return tuple(float(v) for v in out)
-
-
-def transcript(session: Session) -> dict:
-    """JSON-serializable record of the run."""
-    return {
-        "references": list(session.history.references),
-        "cycles": [
-            {"raw": list(c.raw), "m": c.m_str(), "parity": c.parity}
-            for c in session.history.cycles
-        ],
-        "injected": session.injected,
-        "frame": {
-            "word": session.frame.word.render(),
-            "uncorrectable": session.frame.uncorrectable,
-            "log": session.frame.log,
-        },
-        "readout": list(logical_readout(session).bloch),
-    }
 
 
 def bloch_fidelity(a: Iterable[float], b: Iterable[float]) -> float:

@@ -325,10 +325,6 @@ class StateVector:
         if abs(self.norm() - 1.0) > ATOL:
             raise ValueError(f"state norm deviates from 1 by {abs(self.norm()-1.0):.3e}")
 
-    def coin_view(self, particle: int) -> np.ndarray:
-        """Writable (above, coin, vertex, below) view around one walker."""
-        return self.amps.reshape(-1, 2, 4, 8 ** self.layout.slot(particle))
-
     def __repr__(self):
         return f"StateVector(particles={self.layout.particles}, dim={self.layout.dim})"
 
@@ -433,19 +429,24 @@ class CoinSpec:
         for (particle, vertex), u in (entries or {}).items():
             u = np.array(u, dtype=complex)
             if u.shape != (2, 2) or not is_unitary(u):
-                raise ValueError(f"coin entry for ({particle}, {vertex}) is not a 2x2 unitary")
+                raise ValueError(f"coin entry for walker {particle} at vertex {vertex} "
+                                 "is not a 2x2 unitary")
             if not np.allclose(u, COIN_I, rtol=0, atol=ATOL):
                 u.flags.writeable = False
                 kept[(particle, V_OF_LABEL[vertex])] = u
         self.entries = MappingProxyType(kept)
-        self._key = tuple((pv, u.tobytes()) for pv, u in sorted(kept.items()))
-        self._hash = hash(self._key)
+
+    @cached_property
+    def _key(self) -> tuple:
+        """Built on the first comparison or hash, so a spec that is never
+        compared, like a coin error's, holds no byte copy of its entries."""
+        return tuple((pv, u.tobytes()) for pv, u in sorted(self.entries.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CoinSpec) and self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
 
     @staticmethod
     def uniform(particles: Iterable[int], u: np.ndarray) -> "CoinSpec":
@@ -637,17 +638,6 @@ def project_pauli(state: StateVector, word: PauliWord, sign: int) -> tuple:
     if prob < BRANCH_TOL:
         raise ValueError(f"projection onto {sign:+d} eigenspace has probability {prob:.3e}")
     return StateVector(state.layout, amps / np.sqrt(prob)), prob
-
-
-def coin_one_probability(state: StateVector, particle: int) -> float:
-    """Weight of a walker's coin-1 half, as ``np.vdot`` of the flattened
-    half (a copy unless the walker is the most significant).
-
-    ``measure_coin`` does not use it: it takes both halves' weights from
-    one BLAS-free pass (``_coin_weights``).
-    """
-    a = state.coin_view(particle)[:, 1].reshape(-1)
-    return float(np.real(np.vdot(a, a)))
 
 
 def _coin_halves(state: StateVector, particle: int) -> np.ndarray:

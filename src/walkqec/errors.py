@@ -11,9 +11,7 @@ Each spec checks itself once, when it is built.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,28 +29,37 @@ for _v in range(4):
 class CoinError:
     """E at each vertex: blocks[v] acts on the coin when the walker sits at v.
 
-    The blocks are kept as read-only complex copies, so the caller's
-    arrays can change after the check without changing the spec."""
+    ``coin`` is the blocks' ``CoinSpec``: it checks them once, and its
+    walker map is the error's map.  The blocks are read-only complex
+    copies, the spec's own where it keeps one, so the caller's arrays can
+    change after the check without changing the spec."""
 
     blocks: tuple  # four 2x2 matrices, indexed by v = 2x + y
     target: int
+    coin: CoinSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.blocks) != 4:
             raise ValueError("coin error needs exactly four vertex blocks")
+        coin = CoinSpec({(self.target, LABEL_OF_V[v]): b for v, b in enumerate(self.blocks)})
         blocks = []
         for v, b in enumerate(self.blocks):
-            m = np.array(b, dtype=complex)
-            if m.shape != (2, 2) or not is_unitary(m):
-                raise ValueError(f"coin error block at vertex v={v} is not a 2x2 unitary")
-            m.flags.writeable = False
+            # the spec's copy, or a copy of a block it drops as I
+            m = coin.entries.get((self.target, v))
+            if m is None:
+                m = np.array(b, dtype=complex)
+                m.flags.writeable = False
             blocks.append(m)
         object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "coin", coin)
 
 
 @dataclass(frozen=True)
 class ShiftError:
-    """Coin-conditioned drift: sum_j |j><j|_c x (a_j I + b_j R + c_j R^T)."""
+    """Coin-conditioned drift: sum_j |j><j|_c x (a_j I + b_j R + c_j R^T).
+
+    The coefficients are kept as two tuples of ``complex``, so the spec
+    does not change with the caller's lists or arrays, and hashes."""
 
     coeffs: tuple  # ((a0, b0, c0), (a1, b1, c1)) complex
     target: int
@@ -64,6 +71,8 @@ class ShiftError:
     def __post_init__(self) -> None:
         if len(self.coeffs) != 2 or any(len(t) != 3 for t in self.coeffs):
             raise ValueError("shift error needs coefficient triples for both coin branches")
+        object.__setattr__(self, "coeffs",
+                           tuple(tuple(complex(x) for x in t) for t in self.coeffs))
         for j in range(2):
             if not is_unitary(self.branch_matrix(j)):
                 raise ValueError(f"shift error branch j={j} is not unitary")
@@ -90,8 +99,7 @@ def realize(spec: ErrorSpec) -> np.ndarray:
     within ``ATOL`` of the identity is the exact identity, as in every
     program coin."""
     if isinstance(spec, CoinError):
-        coin = CoinSpec({(spec.target, LABEL_OF_V[v]): b for v, b in enumerate(spec.blocks)})
-        return coin.walker_maps().get(spec.target, np.eye(8, dtype=complex))
+        return spec.coin.walker_maps().get(spec.target, np.eye(8, dtype=complex))
     if isinstance(spec, ShiftError):
         m = np.zeros((8, 8), dtype=complex)
         for j in range(2):
@@ -163,10 +171,6 @@ def _c2j(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _j2c(v: Sequence[float]) -> complex:
-    return complex(v[0], v[1])
-
-
 def to_json(spec: ErrorSpec) -> dict:
     if isinstance(spec, CoinError):
         params = {"blocks": [[[_c2j(x) for x in row] for row in np.asarray(b, dtype=complex)]
@@ -181,28 +185,3 @@ def to_json(spec: ErrorSpec) -> dict:
     else:
         raise TypeError(f"unknown error spec {spec!r}")
     return {"family": family, "target": spec.target, "parameters": params}
-
-
-def from_json(obj: dict) -> ErrorSpec:
-    family = obj["family"]
-    target = int(obj["target"])
-    params = obj["parameters"]
-    if family == "coin":
-        blocks = tuple(np.array([[_j2c(x) for x in row] for row in b]) for b in params["blocks"])
-        spec: ErrorSpec = CoinError(blocks, target)
-    elif family == "shift":
-        coeffs = tuple(tuple(_j2c(x) for x in triple) for triple in params["coeffs"])
-        spec = ShiftError(coeffs, target)
-    elif family == "pauli":
-        spec = PauliFlip(PauliWord.parse(params["word"]), target)
-    else:
-        raise ValueError(f"unknown error family {family!r}")
-    return spec
-
-
-def dumps(spec: ErrorSpec) -> str:
-    return json.dumps(to_json(spec), sort_keys=True)
-
-
-def loads(text: str) -> ErrorSpec:
-    return from_json(json.loads(text))

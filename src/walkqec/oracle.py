@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import Layout, StateVector
-from .pauli import GZ0, GZ1, LOGICAL_Z, PauliWord, STABILIZERS, q
+from .pauli import PauliWord, STABILIZERS, q
 from .programs import WalkProgram, run_unitary
 
 _P1Q = {
@@ -50,33 +50,6 @@ def codespace_projector(signs: Sequence[int]) -> np.ndarray:
     for f, s in zip(signs, STABILIZERS):
         proj = proj @ (np.eye(512) + f * dense_of(s)) / 2
     return proj
-
-
-def codespace_basis(signs: Sequence[int]) -> dict:
-    """Orthonormal basis of one stabilizer eigenspace, organized by
-    (logical Z, gauge Z0, gauge Z1) eigenvalues.
-
-    The simultaneous eigenspace always has dimension 8; each of the eight
-    (z, a, b) sign patterns contributes exactly one basis vector.
-    """
-    proj = codespace_projector(signs)
-    rank = int(round(np.trace(proj).real))
-    if rank != 8:
-        raise ValueError(f"stabilizer eigenspace has dimension {rank}, expected 8")
-    labels = [dense_of(LOGICAL_Z), dense_of(GZ0), dense_of(GZ1)]
-    out = {}
-    for z in (1, -1):
-        for a in (1, -1):
-            for b in (1, -1):
-                sub = proj.copy()
-                for f, mat in zip((z, a, b), labels):
-                    sub = sub @ (np.eye(512) + f * mat) / 2
-                # rank-1: take the dominant column and normalize
-                u, s, _ = np.linalg.svd(sub)
-                if abs(s[0] - 1.0) > 1e-9 or (len(s) > 1 and s[1] > 1e-9):
-                    raise ValueError(f"sector ({z},{a},{b}) is not one-dimensional")
-                out[(z, a, b)] = u[:, 0]
-    return out
 
 
 def extract_unitary(program: WalkProgram, inputs: Sequence[StateVector],

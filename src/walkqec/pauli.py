@@ -111,21 +111,6 @@ class PauliWord:
         """
         return _render(self.phase_pow, self.ops)
 
-    @staticmethod
-    def parse(text: str) -> "PauliWord":
-        """Inverse of :meth:`render`, for test fixtures."""
-        import re
-
-        tokens = text.split(None, 1)
-        phase_pow = {v: k for k, v in PHASE_STR.items()}[tokens[0]]
-        letters = {}
-        for inner, tag in re.findall(r"\(([^)]*)\)_\{([^}]*)\}", tokens[1] if len(tokens) > 1 else ""):
-            particle = PEX if tag == "PEX" else int(tag.lstrip("P"))
-            for role, letter in zip(ROLES, inner.split()):
-                if letter != "I":
-                    letters[q(particle, role)] = letter
-        return PauliWord.from_letters(letters, phase_pow)
-
     def __str__(self) -> str:
         return self.render()
 
@@ -281,13 +266,6 @@ def syndrome_str(bits: tuple) -> str:
     return "".join(str(b) for b in reversed(bits))
 
 
-def syndrome_from_str(text: str) -> tuple:
-    """Parse an 'm5m4m3m2m1m0' string into (m0..m5)."""
-    if len(text) != 6 or set(text) - {"0", "1"}:
-        raise ValueError(f"bad syndrome string {text!r}")
-    return tuple(int(c) for c in reversed(text))
-
-
 def equivalent_mod_gauge(a: PauliWord, b: PauliWord) -> bool:
     """True iff a b^-1 lies, up to phase, in the stabilizer-gauge group."""
     _require_data_support(a, "equivalent_mod_gauge argument")
@@ -377,13 +355,3 @@ def correctable_flips() -> list:
         flips.append(PauliWord.single(p, "c", "Z"))
         flips.append(PauliWord.single(p, "c", "Y"))
     return flips
-
-
-def all_single_qubit_paulis() -> list:
-    """All 27 nontrivial single-qubit Paulis on the data walkers."""
-    return [
-        PauliWord.single(p, role, letter)
-        for p in DATA_PARTICLES
-        for role in ROLES
-        for letter in ("X", "Y", "Z")
-    ]

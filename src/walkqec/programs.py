@@ -124,10 +124,6 @@ class WalkProgram:
     def has_measurements(self) -> bool:
         return any(isinstance(s, MeasureCoin) for s in self.steps)
 
-    def iteration_count(self) -> int:
-        """Number of Coin/Shift(/Neighbor) walk iterations, counted by Shift steps."""
-        return sum(1 for s in self.steps if isinstance(s, Shift))
-
     def listing(self) -> str:
         lines = [f"# program {self.name}"]
         for i, step in enumerate(self.steps):

@@ -120,15 +120,16 @@ def _identity(name: str, dev: float, tolerance: float) -> dict:
             "pass": dev < tolerance}
 
 
+_XXX, _ZZZ = (oracle.dense_of(pauli.from_triples({0: t}), [pauli.q(0, r) for r in pauli.ROLES])
+              for t in ("XXX", "ZZZ"))
+
+
 def check_transform() -> dict:
     lay1 = engine.Layout(1, False)
     w = oracle.program_matrix_on_particle(programs.build_basis_transform((0,)), lay1, 0)
-    order = [pauli.q(0, r) for r in pauli.ROLES]
-    xxx = oracle.dense_of(pauli.from_triples({0: "XXX"}), order)
-    zzz = oracle.dense_of(pauli.from_triples({0: "ZZZ"}), order)
     dev = max(
-        float(np.max(np.abs(w @ xxx - zzz @ w))),
-        float(np.max(np.abs(w @ zzz - xxx @ w))),
+        float(np.max(np.abs(w @ _XXX - _ZZZ @ w))),
+        float(np.max(np.abs(w @ _ZZZ - _XXX @ w))),
         float(np.max(np.abs(w @ w - np.eye(8)))),
     )
     return _identity("basis-transform W XXX=ZZZ W, W ZZZ=XXX W, W^2=1", dev, 1e-12)
@@ -151,14 +152,18 @@ def check_cnot(basis: list) -> dict:
     return _identity("coin-to-logical walk = CNOT on (external coin x logical)", dev, 1e-10)
 
 
+# controlled-(Zc Zy Zx): identity for external coin 0, Z on all three of
+# P4's qubits for coin 1
+_Z3 = np.kron(np.diag([1, -1]), np.kron(np.diag([1, -1]), np.diag([1, -1])))
+_MIDDLE_BLOCK = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), _Z3]]).astype(complex)
+
+
 def check_middle_block() -> dict:
     lay = CHECK_LAYOUT
     flats = [(bx << (3 * lay.slot(pauli.PEX))) | (b4 << (3 * lay.slot(4)))
              for bx in (0, 4) for b4 in range(8)]  # external coin 0/1 at vertex 00
     m = oracle.basis_matrix(programs.build_interaction_block(), lay, flats)
-    z3 = np.kron(np.diag([1, -1]), np.kron(np.diag([1, -1]), np.diag([1, -1])))
-    target = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), z3]]).astype(complex)
-    dev = float(np.max(np.abs(m - target)))
+    dev = float(np.max(np.abs(m - _MIDDLE_BLOCK)))
     return _identity("middle interaction block = controlled-(Zc Zy Zx) on P4", dev, 1e-10)
 
 

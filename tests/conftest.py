@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from walkqec import codec, engine
+from walkqec.pauli import DATA_PARTICLES, ROLES, PauliWord
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure reproduces from the test alone.
@@ -46,3 +47,14 @@ def position_distribution(state, particle):
     probs = np.abs(state.amps.reshape((8,) * state.layout.num_particles)) ** 2
     per_b = probs.sum(axis=tuple(i for i in range(probs.ndim) if i != ax))
     return per_b[:4] + per_b[4:]
+
+
+def all_single_qubit_paulis():
+    """All 27 nontrivial single-qubit Paulis on the data walkers."""
+    return [PauliWord.single(p, role, letter)
+            for p in DATA_PARTICLES for role in ROLES for letter in ("X", "Y", "Z")]
+
+
+def syndrome_from_str(text):
+    """Parse an 'm5m4m3m2m1m0' string into (m0..m5)."""
+    return tuple(int(c) for c in reversed(text))

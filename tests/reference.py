@@ -55,17 +55,22 @@ def inverted(program: WalkProgram) -> WalkProgram:
     return WalkProgram(f"{program.name}^-1", tuple(steps))
 
 
+def coin_view(state, particle):
+    """Writable (above, coin, vertex, below) view around one walker."""
+    return state.amps.reshape(-1, 2, 4, 8 ** state.layout.slot(particle))
+
+
 def collapse_reference(state, particle, bit, prob):
     """The collapse as a complex division of the kept coin half."""
     want = np.zeros_like(state.amps)
-    np.divide(state.coin_view(particle)[:, bit], np.sqrt(prob),
-              out=want.reshape(state.coin_view(particle).shape)[:, bit])
+    np.divide(coin_view(state, particle)[:, bit], np.sqrt(prob),
+              out=want.reshape(coin_view(state, particle).shape)[:, bit])
     return want
 
 
 def swap_reference(state, particle):
     """Coin X as an explicit swap of the two coin halves."""
-    view = state.coin_view(particle)
+    view = coin_view(state, particle)
     return np.stack([view[:, 1], view[:, 0]], axis=1).reshape(-1)
 
 

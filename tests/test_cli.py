@@ -143,10 +143,15 @@ class TestLogicalGates:
         assert report["summary"]["pass"]
         assert report["summary"]["max_deviation"] < 1e-8
 
-    def test_tolerance_override_can_fail(self, capsys):
-        code, out = run_cli(capsys, "--tolerance", "1e-30", "logical-gates", "--words", "T")
+    def test_failing_word_exits_one(self, capsys, monkeypatch):
+        """A deviation at the tolerance fails: the bound is strict."""
+        monkeypatch.setattr(verify, "gate_word_deviation", lambda word: 1e-8)
+        code, out = run_cli(capsys, "logical-gates", "--words", "T")
+        report = json.loads(out)
         assert code == 1
-        assert not json.loads(out)["summary"]["pass"]
+        assert report["results"] == [{"word": "T", "max_deviation": 1e-8,
+                                      "tolerance": 1e-8, "pass": False}]
+        assert not report["summary"]["pass"]
 
 
 class TestUsage:
@@ -158,6 +163,12 @@ class TestUsage:
     def test_bad_choice_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["error-sweep", "--family", "cosmic"])
+        assert exc.value.code == 2
+
+    def test_tolerance_is_not_an_option(self, capsys):
+        """The pass bounds are fixed, not set per run."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--tolerance", "1e-3", "logical-gates"])
         assert exc.value.code == 2
 
     def test_unknown_gate_is_usage_error(self, capsys):

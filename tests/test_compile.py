@@ -16,7 +16,8 @@ from walkqec.programs import (Coin, MeasureCoin, Neighbor, Shift, SignedPermutat
                               build_syndrome_step, compile_program, run_program)
 
 from conftest import random_state
-from reference import interpret_program, inverted, reset_reference, swap_reference
+from reference import (coin_view, interpret_program, inverted, reset_reference,
+                       swap_reference)
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
@@ -245,9 +246,9 @@ class TestSlice:
         assert programs._slice(st, prog.walkers) == (0, P1, 2, 4)
         (out,) = run_program(st, prog)
         (ref,) = interpret_program(st, prog)
-        coin_one = out.state.coin_view(P1)[:, 1]
+        coin_one = coin_view(out.state, P1)[:, 1]
         assert np.count_nonzero(coin_one) == 8
-        assert np.allclose(coin_one, ref.state.coin_view(P1)[:, 1], rtol=1e-12, atol=0)
+        assert np.allclose(coin_one, coin_view(ref.state, P1)[:, 1], rtol=1e-12, atol=0)
 
     def test_program_on_every_walker_is_not_sliced(self, monkeypatch, rng):
         st = parked_input(FIVE, rng)
@@ -630,11 +631,11 @@ class TestReparkInTheCollapse:
         of the input; the complex division, which turns a -0.0 real part
         into +0.0, gives the same values."""
         st = random_state(layout, rng)
-        view = st.coin_view(particle)
+        view = coin_view(st, particle)
         view[:, 0] = 0.0
         view[:, 1].real[..., ::3] = -0.0
         got = engine.measure_coin(st.copy(), particle, forced=1)
         assert got[2] == 1.0
         assert got[1].amps.tobytes() == swap_reference(st, particle).tobytes()
         assert np.array_equal(got[1].amps, reset_reference(st, particle, 1, 1.0))
-        assert got[1].coin_view(particle)[:, 0].tobytes() == view[:, 1].tobytes()
+        assert coin_view(got[1], particle)[:, 0].tobytes() == view[:, 1].tobytes()

@@ -13,7 +13,7 @@ from walkqec.pauli import (DATA_PARTICLES, LOGICAL_X, LOGICAL_Z, P1, P3, PEX, RO
                            PauliWord, STABILIZERS, from_triples, q)
 
 from conftest import position_distribution, random_state, walker_map_reference
-from reference import collapse_reference, reset_reference, swap_reference
+from reference import coin_view, collapse_reference, reset_reference, swap_reference
 
 FIVE, SIX = engine.FIVE, engine.SIX
 
@@ -355,10 +355,15 @@ class TestEveryWalkerSlot:
             assert np.max(np.abs(post.amps - reset.amps)) < 1e-12
 
     def test_coin_one_probability(self, layout, particle, rng):
+        """Outcome 1's probability is the coin-1 half's weight, to a
+        relative 1e-13 (the same half's squares summed in two orders;
+        ``test_measure_coin_both_branches`` checks it to an absolute
+        1e-12)."""
         st = random_state(layout, rng)
-        half = st.coin_view(particle)[:, 1]
+        half = coin_view(st, particle)[:, 1]
         want = np.vdot(half, half).real
-        assert abs(engine.coin_one_probability(st, particle) - want) <= 1e-15 * want
+        _, _, prob = measure_coin(st.copy(), particle, forced=1)
+        assert abs(prob - want) <= 1e-13 * want
 
     def test_measure_coin_in_place(self, layout, particle, rng):
         """The last outcome collapses into the input's array, and the first
@@ -456,7 +461,7 @@ class TestBarrierKernels:
         """An outcome of probability exactly 1.0 keeps its half as it is,
         -0.0 included, in coin 0."""
         st = random_state(layout, rng)
-        view = st.coin_view(particle)
+        view = coin_view(st, particle)
         view[:, 1 - bit] = 0.0
         if bit:   # the coin-1 weight is exactly 1.0 for one amplitude of modulus 1
             view[:, 1] = 0.0
@@ -466,8 +471,8 @@ class TestBarrierKernels:
         got, post, prob = measure_coin(st, particle, forced=bit)
         assert (got, prob) == (bit, 1.0)
         assert post is st
-        assert post.coin_view(particle)[:, 0].tobytes() == kept
-        assert not post.coin_view(particle)[:, 1].view(np.uint64).any()
+        assert coin_view(post, particle)[:, 0].tobytes() == kept
+        assert not coin_view(post, particle)[:, 1].view(np.uint64).any()
 
     def test_flip_of_a_random_state(self, layout, particle, rng):
         """The tests' swap of the coin halves is coin X, bit for bit."""
@@ -487,10 +492,10 @@ class TestBarrierKernels:
         """A -0.0 in the kept half keeps its sign in coin 0, scaled or not;
         the complex division would turn a -0.0 real part into +0.0."""
         st = random_state(layout, rng)
-        view = st.coin_view(particle)
+        view = coin_view(st, particle)
         view.real[..., ::3] = -0.0
         for _, post, _ in measure_coin(st.copy(), particle, both_branches=True):
-            assert np.signbit(post.coin_view(particle)[:, 0].real[..., ::3]).all()
+            assert np.signbit(coin_view(post, particle)[:, 0].real[..., ::3]).all()
 
 
 class TestSignedPermutation:

@@ -1,13 +1,13 @@
-"""Error templates: validation, structure, sampling, serialization."""
+"""Error templates: validation, structure, sampling, JSON form."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from walkqec import codec, engine, errors, oracle
-from walkqec.errors import (CoinError, PauliFlip, R_XY, ShiftError, dumps,
-                            from_json, inject, loads, realize,
+from walkqec.errors import (CoinError, PauliFlip, R_XY, ShiftError, inject, realize,
                             sample_random_error, to_json)
 from walkqec.pauli import (DATA_PARTICLES, ROLES, PauliWord, decode_lookup,
                            equivalent_mod_gauge, from_triples, q, syndrome_of)
@@ -66,6 +66,38 @@ class TestRealize:
         with pytest.raises(ValueError, match="read-only"):
             spec.blocks[0][0, 0] = 2
 
+    def test_block_within_atol_of_identity_is_identity(self):
+        """Such a block acts as the exact I, as in every program coin, and
+        the spec still records it as given."""
+        near_i = np.diag([1, np.exp(1e-13j)])
+        spec = CoinError((X2, near_i, I2, I2), 0)
+        assert np.array_equal(realize(spec), realize(CoinError((X2, I2, I2, I2), 0)))
+        assert np.array_equal(spec.blocks[1], near_i)
+
+    def test_coin_error_is_checked_once(self, monkeypatch, rng):
+        """Building a coin error checks its four blocks; injecting it checks
+        only the 8x8 map it applies."""
+        checked = []
+        is_unitary = engine.is_unitary
+        monkeypatch.setattr(engine, "is_unitary",
+                            lambda u: checked.append(np.shape(u)) or is_unitary(u))
+        spec = sample_random_error(rng, "coin", 2)
+        assert checked == [(2, 2)] * 4
+        codec.inject_error(codec.encoded_session(0.8, 0.6j), spec)
+        assert checked == [(2, 2)] * 4 + [(8, 8)]
+
+    def test_shift_error_keeps_its_own_coefficients(self):
+        """A write into the caller's list or array after construction
+        changes neither the spec, its JSON nor its map, and the spec hashes."""
+        listed, array = [1, 0, 0], np.array([1, 0, 0], dtype=complex)
+        spec = ShiftError([listed, array], 0)
+        before = to_json(spec)
+        listed[0] = array[0] = 2
+        assert to_json(spec) == before
+        assert np.array_equal(realize(spec), np.eye(8))
+        assert all(type(x) is complex for triple in spec.coeffs for x in triple)
+        assert hash(spec) == hash(ShiftError(((1, 0, 0), (1, 0, 0)), 0))
+
     def test_pauli_flip_support_check(self):
         with pytest.raises(ValueError):
             realize(PauliFlip(PauliWord.single(0, "c", "X"), 2))
@@ -121,7 +153,7 @@ class TestSampling:
     def test_seed_reproducibility(self):
         a = sample_random_error(np.random.default_rng(42), "coin", 0)
         b = sample_random_error(np.random.default_rng(42), "coin", 0)
-        assert dumps(a) == dumps(b)
+        assert to_json(a) == to_json(b)
 
     def test_rejects_bad_family_and_target(self, rng):
         with pytest.raises(ValueError):
@@ -133,10 +165,18 @@ class TestSampling:
 class TestSerialization:
     @pytest.mark.parametrize("family", ["coin", "shift", "pauli"])
     def test_round_trip(self, family, rng):
+        """The JSON form survives JSON text and keeps every digit of the spec."""
         spec = sample_random_error(rng, family, 4)
-        again = loads(dumps(spec))
-        assert np.allclose(realize(spec), realize(again))
-        assert to_json(spec) == to_json(from_json(to_json(spec)))
+        obj = to_json(spec)
+        assert json.loads(json.dumps(obj)) == obj
+        params = obj["parameters"]
+        if family == "coin":
+            for got, want in zip(params["blocks"], spec.blocks):
+                assert np.array_equal([[complex(*x) for x in row] for row in got], want)
+        elif family == "shift":
+            assert tuple(tuple(complex(*x) for x in t) for t in params["coeffs"]) == spec.coeffs
+        else:
+            assert params["word"] == spec.word.render()
 
     def test_complex_numbers_as_pairs(self, rng):
         obj = to_json(sample_random_error(rng, "shift", 0))

@@ -9,6 +9,8 @@ from walkqec.codec import (apply_frame_physically, bloch_fidelity, encoded_sessi
                            inject_error, logical_readout, run_cycle, update_frame)
 from walkqec.pauli import PauliWord
 
+from conftest import all_single_qubit_paulis
+
 # Two shifts, the displacement one cycle adds, on one walker.
 SHIFT2 = engine.SHIFT_MAP @ engine.SHIFT_MAP
 
@@ -18,7 +20,7 @@ def commutes_with_shift2(word: PauliWord) -> bool:
     return np.array_equal(m @ SHIFT2, SHIFT2 @ m)
 
 
-FLIPS = pauli.all_single_qubit_paulis()
+FLIPS = all_single_qubit_paulis()
 # inject_error applies its word in the lab frame.  At displacement 2 that
 # is the home-frame word conjugated by the two shifts, so only flips that
 # commute with them are the same single-qubit error there.

@@ -4,12 +4,35 @@ import numpy as np
 import pytest
 
 from walkqec import engine, oracle, pauli, programs
-from walkqec.oracle import (codespace_basis, codespace_projector, dense_of,
-                            extract_unitary)
+from walkqec.oracle import codespace_projector, dense_of, extract_unitary
 from walkqec.pauli import (DATA_PARTICLES, GZ0, GZ1, LOGICAL_X, LOGICAL_Z, PauliWord,
                            STABILIZERS, from_triples, pw_mul)
 
 FIVE = engine.FIVE
+
+
+def codespace_basis(signs) -> dict:
+    """Orthonormal basis of one stabilizer eigenspace, organized by
+    (logical Z, gauge Z0, gauge Z1) eigenvalues.
+
+    Each of the eight (z, a, b) sign patterns contributes exactly one
+    basis vector (raises if one does not).
+    """
+    proj = codespace_projector(signs)
+    labels = [dense_of(LOGICAL_Z), dense_of(GZ0), dense_of(GZ1)]
+    out = {}
+    for z in (1, -1):
+        for a in (1, -1):
+            for b in (1, -1):
+                sub = proj.copy()
+                for f, mat in zip((z, a, b), labels):
+                    sub = sub @ (np.eye(512) + f * mat) / 2
+                # rank-1: take the dominant column and normalize
+                u, s, _ = np.linalg.svd(sub)
+                if abs(s[0] - 1.0) > 1e-9 or (len(s) > 1 and s[1] > 1e-9):
+                    raise ValueError(f"sector ({z},{a},{b}) is not one-dimensional")
+                out[(z, a, b)] = u[:, 0]
+    return out
 
 
 class TestDenseOf:

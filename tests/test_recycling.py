@@ -9,6 +9,7 @@ from walkqec.engine import FIVE
 from walkqec.pauli import DATA_PARTICLES, P1
 
 from conftest import random_state
+from reference import coin_view
 
 CELLS = [(family, target) for target in DATA_PARTICLES for family in ("coin", "shift")]
 
@@ -69,7 +70,7 @@ def test_a_held_view_keeps_its_array_out_of_reuse(recycler):
     arr = branch.state.amps
     assert any(a is arr for a in recycler.held[FIVE.dim])
     address = arr.ctypes.data
-    view = branch.state.coin_view(P1)
+    view = coin_view(branch.state, P1)
     del branch, arr
     taken = [engine.empty_amps(FIVE.dim) for _ in range(engine._Recycler.HELD_PER_SIZE + 1)]
     assert not any(np.shares_memory(t, view) for t in taken)
