@@ -6,6 +6,7 @@ correction frame accumulated from decoding, and the logical axis frame.
 
 Every walk it runs, from encoding to the T gate, is one program from
 ``programs`` run by ``programs.run_program``; the codec keeps the records.
+A readout runs no walk and leaves the session as it was.
 
 The axis frame is the Heisenberg-side bookkeeping for logical gates.
 Each axis is a real combination of Pauli words whose expectation yields
@@ -134,16 +135,15 @@ class AxisFrame:
                                if abs(c) > TERM_TOL]
 
     def readout(self, state: StateVector, frame: PauliFrame) -> LogicalReadout:
-        """Frame-signed axis values, evaluated on the data walkers'
-        restriction; raises if another walker is not parked."""
-        data = engine.restrict(state, pauli.DATA_PARTICLES)
+        """Frame-signed axis values, evaluated on ``state`` as it is: any
+        state that holds the data walkers, such as a slice of them."""
         vals = []
         for name in ("x", "y", "z"):
             total = 0.0
             for coef, word in self.axes[name]:
                 if not {qb.particle for qb in word.support()} <= set(pauli.DATA_PARTICLES):
                     raise ValueError(f"readout word {word.render()} acts outside the data walkers")
-                total += coef * frame.sign_for(word) * engine.expectation(data, word)
+                total += coef * frame.sign_for(word) * engine.expectation(state, word)
             vals.append(float(total))
         return LogicalReadout(tuple(vals))
 
@@ -152,9 +152,10 @@ class Session:
     """One codec run: state plus all classical records.
 
     ``displacement`` tracks the data walkers' net shift offset produced by
-    the cycle dynamics (each cycle adds two, modulo four).  Readout and
-    the protocols that assume home positions align first by applying two
-    extra global shifts, the same move the gauge read uses.
+    the cycle dynamics (each cycle adds two, modulo four); it sets the
+    next cycle's parity.  Gates, encoding, the gauge read and the physical
+    frame align first by applying two extra global shifts, the same move
+    the gauge read uses.  Readout never aligns: it shifts its own slice.
     """
 
     def __init__(self, state: StateVector, history: SyndromeHistory,
@@ -345,9 +346,20 @@ def update_frame(session: Session) -> PauliFrame:
 
 
 def logical_readout(session: Session) -> LogicalReadout:
-    """Frame-adjusted Bloch vector of the logical qubit."""
-    session.align()
-    return session.axes.readout(session.state, session.frame)
+    """Frame-adjusted Bloch vector of the logical qubit, read from the
+    session as it stands, which is left as it was.
+
+    The axis words are evaluated on the slice of the state's exact
+    ``engine.support`` (512 amplitudes, or 4,096 once T leaves its
+    rounding residue on PEX), shifted home there: every amplitude outside
+    it is 0.0, so the value is the aligned full state's, with no
+    tolerance and no weight dropped.
+    """
+    state = session.state
+    data = engine.take_slice(state, engine.support(state, pauli.DATA_PARTICLES))
+    for _ in range(-session.displacement % 4):
+        data = engine.apply_shift(data)
+    return session.axes.readout(data, session.frame)
 
 
 def apply_frame_physically(session: Session) -> Session:

@@ -38,25 +38,23 @@ A walker is parked at b = 0 (coin 0, vertex 00).  A ``Layout`` can park
 walkers: they are held at b = 0 and left out of the packed index, so its
 states are the full layout's amplitudes at b = 0 of each parked walker.
 Its neighbor parity is the full layout's read there, so a parked walker
-still interacts with its neighbors.  ``take_slice`` reads the amplitudes
-with every walker outside a kept set parked, as a state of the layout
-that parks them; ``restrict`` does the same and raises when more than
-``PARKED_TOL`` of the weight lies elsewhere; ``extend`` is their
-inverse.  Compiled runs take their slice with ``take_slice`` (their
-exact scan has shown the weight outside to be 0.0) and extend each
-branch back; readout goes through ``restrict``; preparation and
-encoded sessions go through ``extend``.
-The slice is exact for a run that acts on no parked walker: a shift
-fixes b = 0 and the neighbor step is diagonal, so the amplitudes outside
-the slice stay exactly 0.0.
+still interacts with its neighbors.  ``support`` finds the walkers a
+state occupies, exactly: a walker outside it has no nonzero amplitude
+away from b = 0.  ``take_slice`` reads the amplitudes with every walker
+outside a kept set parked, as a state of the layout that parks them,
+and ``extend`` is its inverse.  A slice on the support holds every
+nonzero amplitude, so nothing outside it is checked or dropped: compiled
+runs and the readout take it, and runs extend each branch back;
+preparation and encoded sessions go through ``extend``.  The slice is
+exact for a run that acts on no parked walker: a shift fixes b = 0 and
+the neighbor step is diagonal, so the amplitudes outside the slice stay
+exactly 0.0.
 
 ``extend`` makes the array it fills read-only and records on the state
 the walkers it left free (``StateVector.unparked``).  The record holds
 only while the state holds that same read-only array: a copy, a swapped
-array or one made writable again reads as every walker free.  The
-executor's slice skips the scan for every walker the record parks, and
-``restrict`` skips its weight pass when the record parks every walker
-outside its ``keep``.
+array or one made writable again reads as every walker free.
+``support`` skips the scan for every walker the record parks.
 
 Working arrays come from ``empty_amps``: ``StateVector.copy``, the
 shift's gather, a walker-map operation's passes, the first of two
@@ -75,14 +73,13 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 import numpy as np
 
 from .pauli import PEX, PauliWord
 
 ATOL = 1e-12          # absolute per entry: each np.allclose here passes rtol=0
-PARKED_TOL = 1e-12    # weight a restriction may leave outside its slice
 BRANCH_TOL = 1e-12    # an outcome of at most this probability is dropped or refused
 
 # Vertex labels in clockwise order; v = 2x + y.
@@ -369,32 +366,45 @@ def take_slice(state: StateVector, keep: Iterable[int]) -> StateVector:
 
     The kept walkers keep their labels and their order, so a word on
     them applies to the result as it is.  The weight outside the slice
-    is not checked: this is for a caller that has shown it to be exactly
-    0.0.  The result owns its array.
+    is not checked: it is exactly 0.0 when ``keep`` covers the state's
+    ``support``.  The result owns its array.
     """
     index, small = _parked_index(state.layout, keep)
     vec = state.amps.reshape((8,) * state.layout.num_particles)[index].copy().reshape(-1)
     return StateVector(small, vec)
 
 
-def restrict(state: StateVector, keep: Iterable[int]) -> StateVector:
-    """``take_slice``, checked: raises ValueError when more than
-    ``PARKED_TOL`` of the state's weight lies outside the slice.  The
-    check is skipped when ``extend`` built the array with every walker
-    outside ``keep`` parked (``StateVector.unparked``)."""
-    keep = tuple(keep)
-    small = take_slice(state, keep)
-    if set(state.unparked()) <= set(keep):
-        return small
-    outside = float(np.vdot(state.amps, state.amps).real - np.vdot(small.amps, small.amps).real)
-    if outside > PARKED_TOL:
-        raise ValueError(f"walkers outside the kept ones are not parked: weight "
-                         f"{outside:.3e} lies outside their slice")
-    return small
+def support(state: StateVector, acted: Collection[int]) -> tuple:
+    """The walkers in ``acted`` and every other walker with a nonzero
+    amplitude away from b = 0, in slot order: with no tolerance, so
+    ``take_slice`` on them holds every nonzero amplitude of the state.
+
+    A walker that ``extend`` parked when it built the state's array, which
+    the state still holds read-only, is at b = 0 without a scan
+    (``StateVector.unparked``).  The other walkers outside ``acted`` are
+    scanned exactly (``!= 0``) on the slice of the unparked walkers; there
+    is no scan when ``acted`` covers them.
+    """
+    layout = state.layout
+    idle = [p for p in layout.particles if p not in acted]
+    if not idle:
+        return layout.particles
+    unparked = state.unparked()
+    if len(unparked) < len(layout.particles):
+        idle = [p for p in idle if p in unparked]
+        if not idle:
+            return tuple(p for p in layout.particles if p in acted)
+        state = take_slice(state, unparked)
+    # real and imaginary parts side by side: a walker's b axis sits above
+    # 2 * 8 ** slot of them, and -0.0 counts as zero, as it does for complex
+    nonzero = state.amps.view(np.float64) != 0
+    slot = state.layout.slot
+    moving = {p for p in idle if nonzero.reshape(-1, 8, 2 * 8 ** slot(p))[:, 1:].any()}
+    return tuple(p for p in layout.particles if p in acted or p in moving)
 
 
 def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:
-    """Inverse of ``restrict``: the ``layout`` state holding ``vec``, the
+    """Inverse of ``take_slice``: the ``layout`` state holding ``vec``, the
     amplitudes of ``layout.parking(keep)``, with every other walker parked.
 
     The array comes from ``empty_amps`` and is zeroed in full, so every
@@ -402,7 +412,7 @@ def extend(layout: Layout, keep: Iterable[int], vec: np.ndarray) -> StateVector:
     that are never written stay unmapped, and how much of such an array
     is resident follows the host's huge-page policy, not the state.  The
     array is then made read-only and the state records the walkers left
-    free (``StateVector.unparked``), so a later slice need not scan for
+    free (``StateVector.unparked``), so ``support`` need not scan for
     them.
     """
     index, small = _parked_index(layout, keep)

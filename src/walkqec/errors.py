@@ -32,7 +32,8 @@ class CoinError:
     ``coin`` is the blocks' ``CoinSpec``: it checks them once, and its
     walker map is the error's map.  The blocks are read-only complex
     copies, the spec's own where it keeps one, so the caller's arrays can
-    change after the check without changing the spec."""
+    change after the check without changing the spec.  Errors compare
+    and hash by value: their target and their blocks' bytes."""
 
     blocks: tuple  # four 2x2 matrices, indexed by v = 2x + y
     target: int
@@ -52,6 +53,15 @@ class CoinError:
             blocks.append(m)
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "coin", coin)
+
+    def _key(self) -> tuple:
+        return self.target, tuple(b.tobytes() for b in self.blocks)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CoinError) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import Layout, StateVector
-from .pauli import PauliWord, STABILIZERS, q
+from .pauli import PauliWord, q
 from .programs import WalkProgram, run_unitary
 
 _P1Q = {
@@ -40,16 +40,6 @@ def dense_of(word: PauliWord, qubit_order: Sequence = DATA_QUBIT_ORDER) -> np.nd
     for qb in order:
         m = np.kron(m, _P1Q[letters.get(qb, "I")])
     return m
-
-
-def codespace_projector(signs: Sequence[int]) -> np.ndarray:
-    """Product of (1 + f_i s_i)/2 over the six stabilizers, 512x512."""
-    if len(signs) != 6 or set(signs) - {1, -1}:
-        raise ValueError("signs must be six values in {+1,-1}")
-    proj = np.eye(512, dtype=complex)
-    for f, s in zip(signs, STABILIZERS):
-        proj = proj @ (np.eye(512) + f * dense_of(s)) / 2
-    return proj
 
 
 def extract_unitary(program: WalkProgram, inputs: Sequence[StateVector],

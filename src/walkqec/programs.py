@@ -28,16 +28,13 @@ Programs are immutable values: every step is frozen and every
 ``CoinSpec`` is read-only, so a ``WalkProgram`` is itself the compile
 cache's key, and equal programs built twice share one entry.
 
-Each run covers only the walkers the program moves.  The slice keeps the
-walkers its Coin entries and MeasureCoin steps act on, and any other
-walker with a nonzero amplitude away from b = 0, found by an exact
-``!= 0`` scan.  A walker that ``engine.extend`` parked in the input's
-array, which the input still holds read-only, is known to be at b = 0
-and not scanned; the others are scanned on the slice ``extend`` left
-free, so the slice of an extended state makes no pass over its array.
-The rest are parked (``engine.take_slice``): a Shift fixes b = 0 and
-Neighbor is diagonal, so their amplitudes outside the slice are exactly
-0.0 before and after the run, and extending each branch back
+Each run covers only the walkers the program moves: its slice keeps
+the walkers its Coin entries and MeasureCoin steps act on, and every
+other walker in the state's exact support (``engine.support``, which
+trusts ``extend``'s record and scans the rest with ``!= 0``).  The rest
+are parked (``engine.take_slice``): a Shift fixes b = 0 and Neighbor is
+diagonal, so their amplitudes outside the slice are exactly 0.0 before
+and after the run, and extending each branch back
 (``engine.extend``) loses no weight.  On a freshly encoded six-walker
 state a T gate runs on 4,096 amplitudes and a transversal Clifford on
 512.  The start copy, the segment scratch and the measurement children
@@ -372,10 +369,10 @@ def run_program(state: StateVector, program: WalkProgram, *,
     at most ``BRANCH_TOL`` are pruned).  Errors are applied to ``state``
     before the call.
 
-    The program runs on the smallest exact slice of the state (see
-    ``_slice``): the other walkers are parked at b = 0 for the whole
-    run, and every branch is extended back to the input's layout.  When
-    the program acts on every walker the input is copied once instead.
+    The program runs on the slice of the state's ``engine.support`` for
+    the walkers it acts on: the other walkers are parked at b = 0 for the
+    whole run, and every branch is extended back to the input's layout.
+    When the program acts on every walker the input is copied once instead.
     The run is compiled (see ``compile_program``).  Between two barriers
     every array segment writes one scratch buffer, which the branches
     pass along; it is dropped at each barrier, so it is not held while
@@ -385,7 +382,7 @@ def run_program(state: StateVector, program: WalkProgram, *,
     reset in place.
     """
     layout = state.layout
-    keep = _slice(state, program.walkers)
+    keep = engine.support(state, program.walkers)
     sliced = len(keep) < len(layout.particles)
     start = engine.take_slice(state, keep) if sliced else state.copy()
     segments = compile_program(program, start.layout)
@@ -405,37 +402,6 @@ def run_program(state: StateVector, program: WalkProgram, *,
         for br in branches:
             br.state = engine.extend(layout, keep, br.state.amps)
     return branches
-
-
-def _slice(state: StateVector, acted: frozenset) -> tuple:
-    """The walkers a run on ``state`` keeps: those in ``acted`` and any
-    other with a nonzero amplitude away from b = 0.
-
-    A walker that ``extend`` parked when it built the state's array, which
-    the state still holds read-only, is at b = 0 without a scan
-    (``StateVector.unparked``).  The other idle walkers are scanned
-    exactly (``!= 0``) on the slice of the unparked walkers; there is no
-    scan when ``acted`` covers them.  A walker left out is at b = 0 in
-    every nonzero amplitude; a Shift fixes b = 0 and Neighbor is diagonal,
-    so its amplitudes outside b = 0 are exactly 0.0 before and after any
-    run that does not act on it.
-    """
-    layout = state.layout
-    idle = [p for p in layout.particles if p not in acted]
-    if not idle:
-        return layout.particles
-    unparked = state.unparked()
-    if len(unparked) < len(layout.particles):
-        idle = [p for p in idle if p in unparked]
-        if not idle:
-            return tuple(p for p in layout.particles if p in acted)
-        state = engine.take_slice(state, unparked)
-    # real and imaginary parts side by side: a walker's b axis sits above
-    # 2 * 8 ** slot of them, and -0.0 counts as zero, as it does for complex
-    nonzero = state.amps.view(np.float64) != 0
-    slot = state.layout.slot
-    moving = {p for p in idle if nonzero.reshape(-1, 8, 2 * 8 ** slot(p))[:, 1:].any()}
-    return tuple(p for p in layout.particles if p in acted or p in moving)
 
 
 def run_unitary(state: StateVector, program: WalkProgram) -> StateVector:

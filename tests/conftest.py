@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings
 
 from walkqec import codec, engine
-from walkqec.pauli import DATA_PARTICLES, ROLES, PauliWord
+from walkqec.oracle import dense_of
+from walkqec.pauli import DATA_PARTICLES, ROLES, STABILIZERS, PauliWord
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a failure reproduces from the test alone.
@@ -58,3 +59,13 @@ def all_single_qubit_paulis():
 def syndrome_from_str(text):
     """Parse an 'm5m4m3m2m1m0' string into (m0..m5)."""
     return tuple(int(c) for c in reversed(text))
+
+
+def codespace_projector(signs):
+    """Product of (1 + f_i s_i)/2 over the six stabilizers, 512x512."""
+    if len(signs) != 6 or set(signs) - {1, -1}:
+        raise ValueError("signs must be six values in {+1,-1}")
+    proj = np.eye(512, dtype=complex)
+    for f, s in zip(signs, STABILIZERS):
+        proj = proj @ (np.eye(512) + f * dense_of(s)) / 2
+    return proj

@@ -10,11 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from walkqec import engine, errors, oracle, pauli, verify
+from walkqec import engine, errors, pauli, verify
 from walkqec.codec import (apply_frame_physically, apply_word, bloch_fidelity,
                            encoded_session, inject_error, logical_readout,
                            run_cycle, update_frame)
 from walkqec.pauli import PauliWord, pw_product
+
+from conftest import codespace_projector
 
 FIVE, SIX = engine.FIVE, engine.SIX
 SQ2 = 1 / np.sqrt(2)
@@ -162,7 +164,7 @@ def test_criterion_7_structural_invariants():
     S^4 = 1, R^2 = Xx Xy at machine precision."""
     ok_rank = True
     for signs in itertools.product((1, -1), repeat=6):
-        rank = round(np.trace(oracle.codespace_projector(signs)).real)
+        rank = round(np.trace(codespace_projector(signs)).real)
         ok_rank &= rank == 8
 
     rng = np.random.default_rng(12)

@@ -216,7 +216,7 @@ class TestSlice:
         assert all(b.state.layout == SIX for b in fused)
         assert_same_branches(fused, reference)
         # the full-layout reference is exactly 0.0 wherever the slice parks a walker
-        kept = programs._slice(st, prog.walkers)
+        kept = engine.support(st, prog.walkers)
         parked = engine.extend(SIX, kept, np.ones(SIX.parking(kept).dim)).amps == 0
         assert all(np.all(b.state.amps[parked] == 0) for b in reference)
 
@@ -234,7 +234,7 @@ class TestSlice:
         st = engine.apply_pauli_word(st, PauliWord.single(PEX, "c", "X"))
         prog = middle_block()
         assert engine.PEX not in prog.walkers
-        assert programs._slice(st, prog.walkers) == DATA_PARTICLES + (engine.PEX,)
+        assert engine.support(st, prog.walkers) == DATA_PARTICLES + (engine.PEX,)
         assert_same_branches(run_program(st, prog), interpret_program(st, prog))
 
     def test_tiny_amplitude_widens_the_slice(self):
@@ -243,7 +243,7 @@ class TestSlice:
         assert st.amps[flat] == 0
         st.amps[flat] = 1e-300
         prog = build_logical_clifford("H")
-        assert programs._slice(st, prog.walkers) == (0, P1, 2, 4)
+        assert engine.support(st, prog.walkers) == (0, P1, 2, 4)
         (out,) = run_program(st, prog)
         (ref,) = interpret_program(st, prog)
         coin_one = coin_view(out.state, P1)[:, 1]
@@ -256,7 +256,7 @@ class TestSlice:
         def refuse(*args):
             raise AssertionError("a run on every walker was sliced")
 
-        for name in ("take_slice", "restrict", "extend"):
+        for name in ("take_slice", "extend"):
             monkeypatch.setattr(engine, name, refuse)
         assert build_full_cycle(0).walkers == set(FIVE.particles)
         branches = run_program(st, build_full_cycle(0), all_branches=True)
@@ -275,14 +275,15 @@ TINY_P1 = 4 << 3 * SIX.slot(P1)   # P1 at coin 1, every other walker at b = 0
 
 class TestExtendRecord:
     """``extend`` records the walkers it left free on a read-only array;
-    the slice trusts the record only while the state holds that array."""
+    ``engine.support`` trusts the record only while the state holds that
+    array."""
 
     @pytest.mark.parametrize("name", ON_FIVE)
     def test_five_runs_equal_runs_on_a_writable_copy(self, name, rng):
         st = parked_input(FIVE, rng)
         assert st.unparked() == DATA_PARTICLES
         prog = PROGRAMS[name]
-        assert programs._slice(st, prog.walkers) == programs._slice(st.copy(), prog.walkers)
+        assert engine.support(st, prog.walkers) == engine.support(st.copy(), prog.walkers)
         assert_identical_branches(run_program(st, prog, all_branches=True),
                                   run_program(st.copy(), prog, all_branches=True))
 
@@ -293,7 +294,7 @@ class TestExtendRecord:
         st = parked_input(SIX, rng, keep)
         assert st.unparked() == keep
         prog = PROGRAMS[name]
-        assert programs._slice(st, prog.walkers) == programs._slice(st.copy(), prog.walkers)
+        assert engine.support(st, prog.walkers) == engine.support(st.copy(), prog.walkers)
         assert_identical_branches(run_program(st, prog, rng=np.random.default_rng(5)),
                                   run_program(st.copy(), prog, rng=np.random.default_rng(5)))
 
@@ -321,14 +322,7 @@ class TestExtendRecord:
             st.amps[TINY_P1] = 1e-300
         assert st.unparked() == SIX.particles
         prog = build_logical_clifford("H")
-        assert programs._slice(st, prog.walkers) == (0, P1, 2, 4)
-
-    def test_restrict_checks_an_array_made_writable_again(self):
-        st = codec.encoded_session(0.8, 0.6j, layout=SIX).state
-        st.amps.flags.writeable = True
-        st.amps[TINY_P1] = 1e-3
-        with pytest.raises(ValueError, match="not parked"):
-            engine.restrict(st, DATA_PARTICLES)
+        assert engine.support(st, prog.walkers) == (0, P1, 2, 4)
 
     def test_after_t_the_record_keeps_pex(self):
         ses = codec.encoded_session(0.8, 0.6j, layout=SIX)
@@ -336,15 +330,7 @@ class TestExtendRecord:
         codec.apply_logical_gate(ses, "T")
         assert ses.state.unparked() == DATA_PARTICLES + (PEX,)
         walkers = build_logical_clifford("H").walkers
-        assert programs._slice(ses.state, walkers) == programs._slice(ses.state.copy(), walkers)
-
-    def test_restrict_on_the_record_equals_the_checked_restriction(self, rng):
-        st = parked_input(SIX, rng, DATA_PARTICLES + (PEX,))
-        for keep in (DATA_PARTICLES + (PEX,), SIX.particles):
-            assert (engine.restrict(st, keep).amps.tobytes()
-                    == engine.restrict(st.copy(), keep).amps.tobytes())
-        with pytest.raises(ValueError, match="not parked"):
-            engine.restrict(st, DATA_PARTICLES)
+        assert engine.support(ses.state, walkers) == engine.support(ses.state.copy(), walkers)
 
 
 class TestAncillasParkExactly:

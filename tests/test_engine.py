@@ -207,7 +207,7 @@ class TestPauliWordApplication:
             st = engine.extend(FIVE, DATA_PARTICLES, vec)
             out = apply_pauli_word(st, word)
             dense = oracle.dense_of(word) @ vec
-            got = engine.restrict(out, DATA_PARTICLES).amps
+            got = engine.take_slice(out, DATA_PARTICLES).amps
             assert np.max(np.abs(got - dense)) < 1e-12
 
 
@@ -215,7 +215,7 @@ UNPARKED = [(FIVE, P1), (FIVE, P3), (SIX, P1), (SIX, P3), (SIX, PEX)]
 
 
 class TestRestrictExtend:
-    """The parked-walker slice: ``restrict`` and its inverse ``extend``."""
+    """The parked-walker slice: ``take_slice`` and its inverse ``extend``."""
 
     @pytest.mark.parametrize("layout", [FIVE, SIX], ids=["FIVE", "SIX"])
     def test_round_trip_on_the_data_digits(self, layout, rng):
@@ -227,7 +227,7 @@ class TestRestrictExtend:
         want[(b0 << 3 * layout.slot(0)) | (b2 << 3 * layout.slot(2))
              | (b4 << 3 * layout.slot(4))] = vec
         assert np.array_equal(st.amps, want)
-        back = engine.restrict(st, DATA_PARTICLES)
+        back = engine.take_slice(st, DATA_PARTICLES)
         assert back.layout == Layout(5, False, parked={P1, P3})
         assert np.array_equal(back.amps, vec)
         assert not np.shares_memory(back.amps, st.amps)
@@ -238,23 +238,25 @@ class TestRestrictExtend:
         st = random_state(Layout(2, False), rng)
         a = engine.extend(layout, keep, st.amps)
         assert np.array_equal(a.amps, engine.extend(layout, keep[::-1], st.amps).amps)
-        assert np.array_equal(engine.restrict(a, keep[::-1]).amps, st.amps)
+        assert np.array_equal(engine.take_slice(a, keep[::-1]).amps, st.amps)
 
     @pytest.mark.parametrize("layout,walker", UNPARKED,
                              ids=[f"{'SIX' if lay.with_external else 'FIVE'}-P{p}"
                                   for lay, p in UNPARKED])
-    def test_unparked_walker_raises_above_the_tolerance(self, layout, walker, rng):
+    def test_any_weight_off_b0_widens_the_support(self, layout, walker, rng):
+        """However little weight a walker has away from b = 0, the support
+        keeps it, and its slice holds the state's whole weight."""
         vec = rng.normal(size=512) + 1j * rng.normal(size=512)
         st = engine.extend(layout, DATA_PARTICLES, vec / np.linalg.norm(vec))
-        for outside in (10 * engine.PARKED_TOL, engine.PARKED_TOL / 10):
+        assert engine.support(st, DATA_PARTICLES) == DATA_PARTICLES
+        for outside in (1e-11, 1e-13, 1e-300):
             t = np.arcsin(np.sqrt(outside))
             rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
             moved = engine.apply_local_coin(st, walker, rot)
-            if outside > engine.PARKED_TOL:
-                with pytest.raises(ValueError, match="not parked"):
-                    engine.restrict(moved, DATA_PARTICLES)
-            else:
-                engine.restrict(moved, DATA_PARTICLES)
+            keep = engine.support(moved, DATA_PARTICLES)
+            assert keep == tuple(p for p in layout.particles if p in DATA_PARTICLES + (walker,))
+            held = engine.take_slice(moved, keep).amps
+            assert np.count_nonzero(held) == np.count_nonzero(moved.amps)
 
 
 class TestParkedLayout:
@@ -275,7 +277,7 @@ class TestParkedLayout:
         assert hash(Layout(5, True, parked={PEX})) == hash(FIVE)
         vec = rng.normal(size=512) + 1j * rng.normal(size=512)
         st = engine.extend(SIX, DATA_PARTICLES, vec / np.linalg.norm(vec))
-        assert engine.restrict(st, FIVE.particles).layout == FIVE
+        assert engine.take_slice(st, FIVE.particles).layout == FIVE
 
     @pytest.mark.parametrize("parked", [{P1, 2}, {P3, 4}, {4, PEX}, {0, P1, P3, PEX}],
                              ids=["P1P2", "P3P4", "P4PEX", "P0P1P3PEX"])

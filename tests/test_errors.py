@@ -74,6 +74,18 @@ class TestRealize:
         assert np.array_equal(realize(spec), realize(CoinError((X2, I2, I2, I2), 0)))
         assert np.array_equal(spec.blocks[1], near_i)
 
+    def test_coin_error_compares_and_hashes_by_value(self):
+        """Equal targets and block values make equal errors with equal
+        hashes, whatever arrays the caller passed; another target or
+        another block, even one that acts as I, makes another error."""
+        a = CoinError((np.eye(2),) * 4, 0)
+        b = CoinError((I2, I2, I2, I2.copy()), 0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != CoinError((I2,) * 4, 2)
+        assert a != CoinError((X2, I2, I2, I2), 0)
+        assert a != CoinError((np.diag([1, np.exp(1e-13j)]), I2, I2, I2), 0)
+        assert a != ShiftError(((1, 0, 0), (1, 0, 0)), 0)
+
     def test_coin_error_is_checked_once(self, monkeypatch, rng):
         """Building a coin error checks its four blocks; injecting it checks
         only the 8x8 map it applies."""

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from walkqec import engine, oracle, pauli, programs
-from walkqec.oracle import codespace_projector, dense_of, extract_unitary
+from walkqec.oracle import dense_of, extract_unitary
 from walkqec.pauli import (DATA_PARTICLES, GZ0, GZ1, LOGICAL_X, LOGICAL_Z, PauliWord,
                            STABILIZERS, from_triples, pw_mul)
+
+from conftest import codespace_projector
 
 FIVE = engine.FIVE
 
@@ -63,7 +65,7 @@ class TestDenseOf:
         vec /= np.linalg.norm(vec)
         word = from_triples({4: "XZI", 2: "IYZ", 0: "ZIX"}, phase_pow=2)
         st = engine.extend(FIVE, DATA_PARTICLES, vec)
-        engine_out = engine.restrict(engine.apply_pauli_word(st, word), DATA_PARTICLES).amps
+        engine_out = engine.take_slice(engine.apply_pauli_word(st, word), DATA_PARTICLES).amps
         assert np.max(np.abs(engine_out - dense_of(word) @ vec)) < 1e-12
 
 
@@ -141,5 +143,5 @@ class TestExtraction:
                     coin8[4 * a + v, 4 * b + v] = block[a, b]
         step = sig @ coin8
         dense = np.kron(step, np.kron(step, step)) @ vec
-        got = engine.restrict(out, DATA_PARTICLES).amps
+        got = engine.take_slice(out, DATA_PARTICLES).amps
         assert np.max(np.abs(got - dense)) < 1e-12

@@ -46,7 +46,7 @@ def test_live_sessions_and_branches_never_alias(family, target, recycler):
     assert len(first) > 1
     for b in first:
         codec.update_frame(b)
-        codec.logical_readout(b.clone())  # aligns the clone; b stays displaced
+        codec.logical_readout(b)  # a read never aligns: b stays displaced
     second = []
     for b in first:
         assert b.displacement == 2
