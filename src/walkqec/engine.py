@@ -4,6 +4,9 @@ Each walker lives on its own square with vertices labelled 00, 10, 11, 01
 (clockwise) and carries a two-level coin.  A walker's basis index is
 b = 4c + 2x + y, and the global index packs walkers with P0 least
 significant; the external walker, when present, is most significant.
+This module alone knows that packing: other modules name a basis state
+by ``basis_index``, and the compile pass builds its gather tables by
+running its steps on this module's kernels.
 
 Every map on one walker runs on one kernel, ``apply_walker_maps``: an
 8x8 map as a matmul over the (above, 8, below) view, one pass over the
@@ -59,12 +62,12 @@ array or one made writable again reads as every walker free.
 Working arrays come from ``empty_amps``: ``StateVector.copy``, the
 shift's gather, a walker-map operation's passes, the first of two
 measurement children, ``extend``, and the executor's start copy and
-scratch.  Arrays of 8,192 to 32,768 amplitudes (a FIVE state) are
-recycled: one is handed out again once no state, branch or view
-references it, so a campaign trial stops re-faulting its memory; it is
-made writable first, as ``extend`` may have made it read-only.  Other
-sizes are new arrays.  Every caller writes every element it is handed,
-so no result depends on what an array held before.
+scratch.  Arrays of 32,768 amplitudes (a FIVE state) are recycled: one
+is handed out again once no state, branch or view references it, so a
+campaign trial stops re-faulting its memory; it is made writable first,
+as ``extend`` may have made it read-only.  Other sizes are new arrays.
+Every caller writes every element it is handed, so no result depends on
+what an array held before.
 """
 
 from __future__ import annotations
@@ -240,24 +243,23 @@ def _shift_gather_flat(layout: Layout) -> np.ndarray:
 
 
 class _Recycler:
-    """Complex working arrays of 8,192 to 32,768 amplitudes (128-512 KiB),
+    """Complex working arrays of a FIVE state's 32,768 amplitudes (512 KiB),
     handed out again once nothing else references them.
 
     Freed arrays of that size go back to the OS between calls, and every
     new one pays its page faults again; smaller ones come from the
     allocator's free lists without faults, and larger ones are not held.
-    At most ``HELD_PER_SIZE`` arrays of each size are held, for the life
-    of the process.  An array is free when its reference count reads as
-    that of an item only its list holds, measured once here: a live
-    state, a branch or a view (which references its base) keeps it in
-    use.  The counts are CPython's; every caller writes every element.
+    At most ``HELD`` arrays are held, for the life of the process.  An
+    array is free when its reference count reads as that of an item only
+    its list holds, measured once here: a live state, a branch or a view
+    (which references its base) keeps it in use.  The counts are CPython's;
+    every caller writes every element.
     """
 
-    SIZES = range(8192, 32769)
-    HELD_PER_SIZE = 16
+    HELD = 16
 
     def __init__(self):
-        self.held: dict = {}   # amplitude count -> arrays handed out before
+        self.held: list = []   # arrays handed out before
         self._free_refs = self._listed_refs()
 
     @staticmethod
@@ -269,16 +271,15 @@ class _Recycler:
 
     def empty(self, dim: int) -> np.ndarray:
         """An uninitialized, writable complex array of ``dim`` amplitudes."""
-        if dim not in self.SIZES:
+        if dim != FIVE.dim:
             return np.empty(dim, dtype=complex)
-        held = self.held.setdefault(dim, [])
-        for arr in held:
+        for arr in self.held:
             if sys.getrefcount(arr) == self._free_refs:
                 arr.flags.writeable = True   # ``extend`` may have made it read-only
                 return arr
         arr = np.empty(dim, dtype=complex)
-        if len(held) < self.HELD_PER_SIZE:
-            held.append(arr)
+        if len(self.held) < self.HELD:
+            self.held.append(arr)
         return arr
 
 
@@ -288,8 +289,9 @@ empty_amps = _Recycler().empty
 class StateVector:
     """Complex amplitudes over the walkers' (coin, vertex) product basis.
 
-    Only ``extend`` sets the record ``unparked`` reads; every other
-    constructor, ``copy`` included, leaves it unset.
+    The array must be complex128, which ``support`` and the kernels read as
+    float64 pairs.  Only ``extend`` sets the record ``unparked`` reads;
+    every other constructor, ``copy`` included, leaves it unset.
     """
 
     __slots__ = ("layout", "amps", "_extended")
@@ -297,6 +299,8 @@ class StateVector:
     def __init__(self, layout: Layout, amps: np.ndarray):
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude array must have shape ({layout.dim},)")
+        if amps.dtype != np.complex128:
+            raise ValueError(f"amplitude array must be complex128, got {amps.dtype}")
         self.layout = layout
         self.amps = amps
         self._extended: Optional[tuple] = None   # (free walkers, array), set by extend
@@ -326,6 +330,15 @@ class StateVector:
         return f"StateVector(particles={self.layout.particles}, dim={self.layout.dim})"
 
 
+def basis_index(layout: Layout, basis: Mapping[int, int]) -> int:
+    """Flat index of the basis state with each walker in ``basis`` at its
+    b = 4c + 2x + y and every other walker at b = 0."""
+    flat = 0
+    for particle, b in basis.items():
+        flat |= b << (3 * layout.slot(particle))
+    return flat
+
+
 def init_state(layout: Layout, placements: Iterable[tuple]) -> StateVector:
     """Basis state with each walker at (coin, vertex-label)."""
     placed = {}
@@ -334,15 +347,14 @@ def init_state(layout: Layout, placements: Iterable[tuple]) -> StateVector:
             raise ValueError(f"duplicate placement for walker {particle}")
         if coin not in (0, 1):
             raise ValueError(f"coin must be 0 or 1, got {coin}")
+        if vertex not in V_OF_LABEL:
+            raise ValueError(f"unknown vertex label {vertex!r} for walker {particle}")
         placed[particle] = 4 * coin + V_OF_LABEL[vertex]
     missing = set(layout.particles) - set(placed)
     if missing or set(placed) - set(layout.particles):
         raise ValueError(f"placements must cover the layout exactly (missing {sorted(missing)})")
-    flat = 0
-    for particle, b in placed.items():
-        flat |= b << (3 * layout.slot(particle))
     amps = np.zeros(layout.dim, dtype=complex)
-    amps[flat] = 1.0
+    amps[basis_index(layout, placed)] = 1.0
     return StateVector(layout, amps)
 
 

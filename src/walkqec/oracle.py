@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import Layout, StateVector
+from .engine import Layout, StateVector, basis_index
 from .pauli import PauliWord, q
 from .programs import WalkProgram, run_unitary
 
@@ -23,9 +23,9 @@ _P1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Dense qubit order for the 512-dim data space, most significant first.
-# This makes the dense index coincide with the engine's packed data index
-# d = b(P0) + 8 b(P2) + 64 b(P4).
+# Dense qubit order for the 512-dim data space, most significant first:
+# the dense index of a data basis state is its ``basis_index`` on the
+# 512-amplitude data slice.
 DATA_QUBIT_ORDER = tuple(q(p, r) for p in (4, 2, 0) for r in ("c", "x", "y"))
 
 
@@ -87,5 +87,5 @@ def program_matrix_on_particle(program: WalkProgram, layout: Layout,
 
     Only meaningful when the program acts trivially on the pinned walkers
     (checked by unitarity of the result)."""
-    return basis_matrix(program, layout, [b << (3 * layout.slot(particle)) for b in range(8)])
+    return basis_matrix(program, layout, [basis_index(layout, {particle: b}) for b in range(8)])
 

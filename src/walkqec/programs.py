@@ -13,16 +13,17 @@ coin into its tag and leaves the coin at 0, ready for the next read.
 steps are barriers.  Between them, each walker's Coin and Shift steps
 fold into one 8x8 map; maps that are signed permutations fold, with the
 Neighbor steps, into one gather table, and the others are applied as
-walker maps.  A walker map with no imaginary part is stored as a
-contiguous, read-only float64 8x8, which the kernel applies as one real
-product: every map of the syndrome cycle and of the CNOT is real.  The
-segments are then scheduled around the measurements (``_schedule``):
-maps on walkers that a run of MeasureCoin barriers does not touch move
-ahead of the run, so they run before the measurements multiply the
-branches.  A syndrome cycle of 94 steps runs as 9 array segments, a T
-gate as 5.  At the barriers, measurements collapse each branch in place
-and reset the coin inside the collapse.  Every walk the codec runs is
-built here.
+walker maps.  Gather tables are built on the engine's own kernels, so
+only ``engine`` knows how walkers pack into the amplitude index.  A
+walker map with no imaginary part is stored as a contiguous, read-only
+float64 8x8, which the kernel applies as one real product: every map of
+the syndrome cycle and of the CNOT is real.  The segments are then
+scheduled around the measurements (``_schedule``): maps on walkers that
+a run of MeasureCoin barriers does not touch move ahead of the run, so
+they run before the measurements multiply the branches.  A syndrome
+cycle of 94 steps runs as 9 array segments, a T gate as 5.  At the
+barriers, measurements collapse each branch in place and reset the coin
+inside the collapse.  Every walk the codec runs is built here.
 
 Programs are immutable values: every step is frozen and every
 ``CoinSpec`` is read-only, so a ``WalkProgram`` is itself the compile
@@ -299,37 +300,21 @@ def _fuse(steps: list, layout: Layout) -> list:
 def _signed_permutation(layout: Layout, ops: tuple) -> SignedPermutation:
     """Fold walker permutations and Neighbor steps into one gather table.
 
-    The ops run once on the probe vector 1..dim; each output entry is
-    then +/-(1 + the index it gathers).  The probe is held as (upper
-    walkers, lower walkers), so a walker product is two gathers over
-    small index tables instead of one over the array.
+    The ops run once on the probe vector 1..dim, on the engine's kernels:
+    walker permutations as +/-1 float64 maps, Neighbor steps as negations
+    masked by ``engine.neighbor_parity``.  Each output entry is then
+    +/-(1 + the index it gathers), exactly, as every value is an integer.
     """
-    n = layout.num_particles
-    low = n // 2
-    probe = np.arange(1, layout.dim + 1, dtype=np.int32).reshape(-1, 8 ** low)
+    probe = StateVector(layout, np.arange(1, layout.dim + 1, dtype=complex))
+    scratch = np.empty_like(probe.amps)
     for op in ops:
         if op == _NEIGHBOR:
-            flips = engine.neighbor_parity(layout).reshape(probe.shape)
-        else:
-            by_slot = {layout.slot(p): perm for p, perm in op}
-            upper, upper_sign = _digit_permutation(by_slot, range(n - 1, low - 1, -1))
-            lower, lower_sign = _digit_permutation(by_slot, range(low - 1, -1, -1))
-            probe = np.take(np.take(probe, upper, axis=0), lower, axis=1)
-            flips = np.multiply.outer(upper_sign, lower_sign) < 0
-        np.negative(probe, out=probe, where=flips)
-    probe = probe.reshape(-1)
-    return SignedPermutation(np.abs(probe) - 1, np.sign(probe).astype(np.int8))
-
-
-def _digit_permutation(by_slot: dict, slots: range) -> tuple:
-    """Source index and sign over the packed digits of ``slots`` (most
-    significant first) for per-slot (source, sign) permutations."""
-    index, sign = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int8)
-    for slot in slots:
-        source, signs = by_slot.get(slot, (range(8), (1,) * 8))
-        index = np.add.outer(8 * index, np.asarray(source)).reshape(-1)
-        sign = np.multiply.outer(sign, np.asarray(signs, dtype=np.int8)).reshape(-1)
-    return index, sign
+            np.negative(probe.amps, out=probe.amps, where=engine.neighbor_parity(layout))
+            continue
+        maps = [(p, np.eye(8)[list(src)] * np.array(sign)[:, None]) for p, (src, sign) in op]
+        scratch = engine.apply_walker_maps(probe, maps, scratch)
+    values = probe.amps.real
+    return SignedPermutation(np.abs(values).astype(np.int32) - 1, np.sign(values).astype(np.int8))
 
 
 # -------------------------------------------------------------- executors

@@ -135,14 +135,16 @@ def check_transform() -> dict:
     return _identity("basis-transform W XXX=ZZZ W, W ZZZ=XXX W, W^2=1", dev, 1e-12)
 
 
+_PEX_COIN_X = pauli.PauliWord.single(pauli.PEX, "c", "X")
+
+
 def _cnot_basis() -> list:
     """|0>_L, |1>_L and both with the external coin flipped, on
     ``CHECK_LAYOUT``."""
     zero = codec.prepare_logical_zero(CHECK_LAYOUT).state
     one = engine.apply_pauli_word(zero, pauli.LOGICAL_X)
-    flip = pauli.PauliWord.single(pauli.PEX, "c", "X")
-    return [zero, one,
-            engine.apply_pauli_word(zero, flip), engine.apply_pauli_word(one, flip)]
+    return [zero, one, engine.apply_pauli_word(zero, _PEX_COIN_X),
+            engine.apply_pauli_word(one, _PEX_COIN_X)]
 
 
 def check_cnot(basis: list) -> dict:
@@ -159,10 +161,9 @@ _MIDDLE_BLOCK = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), _Z3]
 
 
 def check_middle_block() -> dict:
-    lay = CHECK_LAYOUT
-    flats = [(bx << (3 * lay.slot(pauli.PEX))) | (b4 << (3 * lay.slot(4)))
+    flats = [engine.basis_index(CHECK_LAYOUT, {pauli.PEX: bx, 4: b4})
              for bx in (0, 4) for b4 in range(8)]  # external coin 0/1 at vertex 00
-    m = oracle.basis_matrix(programs.build_interaction_block(), lay, flats)
+    m = oracle.basis_matrix(programs.build_interaction_block(), CHECK_LAYOUT, flats)
     dev = float(np.max(np.abs(m - _MIDDLE_BLOCK)))
     return _identity("middle interaction block = controlled-(Zc Zy Zx) on P4", dev, 1e-10)
 
@@ -193,11 +194,9 @@ def _cphase_matrix_deviation(cphase, basis: list) -> float:
 def _cphase_operator_deviation(cphase, v: np.ndarray, sign: int) -> float:
     """1 - fidelity of the program against the exact operator form
     |+><+| I + |-><-| (Zc Xx Xy)_P4 on data vector ``v`` in one sector."""
-    # PEX is the top digit of CHECK_LAYOUT's packing; b = 4 is coin 1 at vertex 00
-    vec = np.zeros(8 * v.size, dtype=complex)
-    vec[:v.size] = v / np.sqrt(2)
-    vec[4 * v.size:5 * v.size] = sign * v / np.sqrt(2)
-    st = engine.StateVector(CHECK_LAYOUT, vec)
+    data = engine.extend(CHECK_LAYOUT, pauli.DATA_PARTICLES, v / np.sqrt(2))
+    flipped = engine.apply_pauli_word(data, _PEX_COIN_X)
+    st = engine.StateVector(CHECK_LAYOUT, data.amps + sign * flipped.amps)
     outw = programs.run_unitary(st, cphase)
     if sign < 0:
         st = engine.apply_pauli_word(st, pauli.conjugate_transversal(pauli.LOGICAL_X, "H"))

@@ -43,12 +43,28 @@ class TestLayoutAndInit:
         b2 = 4 + engine.V_OF_LABEL["10"]
         b0 = 4 + engine.V_OF_LABEL["01"]
         assert st.amps[(b4 << 12) | (b2 << 6) | b0] == 1.0
+        assert engine.basis_index(FIVE, {4: b4, 2: b2, 0: b0}) == (b4 << 12) | (b2 << 6) | b0
+        # with P1 and P3 parked, PEX sits above the three data walkers' 512 amplitudes
+        assert engine.basis_index(verify.CHECK_LAYOUT, {PEX: 4, 0: 1}) == 4 * 512 + 1
 
     def test_duplicate_and_missing_placements(self):
         with pytest.raises(ValueError):
             init_state(FIVE, [(0, 0, "00"), (0, 1, "00")])
         with pytest.raises(ValueError):
             init_state(FIVE, [(0, 0, "00")])
+
+    def test_unknown_vertex_label(self):
+        with pytest.raises(ValueError, match="'22'"):
+            init_state(FIVE, [(0, 0, "22")] + [(p, 0, "00") for p in range(1, 5)])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    def test_amplitudes_must_be_complex128(self, dtype):
+        # P1 at b = 1: a float64 array read as float64 pairs would put it on P0
+        amps = np.zeros(FIVE.dim, dtype=dtype)
+        amps[8] = 1
+        with pytest.raises(ValueError, match="complex128"):
+            engine.StateVector(FIVE, amps)
+        assert engine.support(engine.StateVector(FIVE, amps.astype(complex)), (4,)) == (1, 4)
 
 
 class TestCoin:

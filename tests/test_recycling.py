@@ -54,7 +54,7 @@ def test_live_sessions_and_branches_never_alias(family, target, recycler):
     for s in second:
         codec.logical_readout(s)
     _assert_disjoint(s.state.amps for s in [ses] + first + second)
-    assert recycler.held[FIVE.dim]
+    assert recycler.held
 
 
 def test_measure_coin_children_never_alias(recycler, rng):
@@ -68,14 +68,14 @@ def test_measure_coin_children_never_alias(recycler, rng):
 def test_a_held_view_keeps_its_array_out_of_reuse(recycler):
     (_, branch), *_ = codec.run_cycle(codec.encoded_session(0.6, 0.8), all_branches=True)
     arr = branch.state.amps
-    assert any(a is arr for a in recycler.held[FIVE.dim])
+    assert any(a is arr for a in recycler.held)
     address = arr.ctypes.data
     view = coin_view(branch.state, P1)
     del branch, arr
-    taken = [engine.empty_amps(FIVE.dim) for _ in range(engine._Recycler.HELD_PER_SIZE + 1)]
+    taken = [engine.empty_amps(FIVE.dim) for _ in range(engine._Recycler.HELD + 1)]
     assert not any(np.shares_memory(t, view) for t in taken)
     del view, taken
-    again = [engine.empty_amps(FIVE.dim) for _ in range(engine._Recycler.HELD_PER_SIZE)]
+    again = [engine.empty_amps(FIVE.dim) for _ in range(engine._Recycler.HELD)]
     assert address in [a.ctypes.data for a in again]
 
 
@@ -92,11 +92,11 @@ def test_campaign_ops_take_only_arrays_already_held(recycler):
     those the recycler held: its list neither grows nor changes."""
     rng = np.random.default_rng(60)
     _campaign_op(rng, "shift", 4)
-    held = [id(a) for a in recycler.held[FIVE.dim]]  # ids: a reference would keep them in use
-    assert len(held) < engine._Recycler.HELD_PER_SIZE  # so a new array would have joined
+    held = [id(a) for a in recycler.held]  # ids: a reference would keep them in use
+    assert len(held) < engine._Recycler.HELD  # so a new array would have joined
     for k in range(60):
         _campaign_op(rng, *CELLS[k % len(CELLS)])
-    assert [id(a) for a in recycler.held[FIVE.dim]] == held
+    assert [id(a) for a in recycler.held] == held
 
 
 def test_a_read_only_array_is_handed_out_writable(recycler):
