@@ -350,9 +350,9 @@ def init_state(layout: Layout, placements: Iterable[tuple]) -> StateVector:
         if vertex not in V_OF_LABEL:
             raise ValueError(f"unknown vertex label {vertex!r} for walker {particle}")
         placed[particle] = 4 * coin + V_OF_LABEL[vertex]
-    missing = set(layout.particles) - set(placed)
-    if missing or set(placed) - set(layout.particles):
-        raise ValueError(f"placements must cover the layout exactly (missing {sorted(missing)})")
+    missing, extra = set(layout.particles) - set(placed), set(placed) - set(layout.particles)
+    if missing or extra:
+        raise ValueError(f"placements: missing walkers {sorted(missing)}, extra {sorted(extra)}")
     amps = np.zeros(layout.dim, dtype=complex)
     amps[basis_index(layout, placed)] = 1.0
     return StateVector(layout, amps)
@@ -636,13 +636,6 @@ def expectation(state: StateVector, word: PauliWord) -> float:
     if abs(val.imag) > 1e-10:
         raise AssertionError(f"expectation of Hermitian word came out complex: {val}")
     return float(val.real)
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2, global-phase invariant."""
-    if a.amps.shape != b.amps.shape:
-        raise ValueError("fidelity requires equal dimensions")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def project_pauli(state: StateVector, word: PauliWord, sign: int) -> tuple:

@@ -351,8 +351,8 @@ def run_program(state: StateVector, program: WalkProgram, *,
 
     Measurement policy is one of: seeded (``rng``), ``forced`` (tag ->
     bit), or ``all_branches`` (branch summing; branches of probability
-    at most ``BRANCH_TOL`` are pruned).  Errors are applied to ``state``
-    before the call.
+    at most ``BRANCH_TOL`` are pruned; ``forced`` raises with ``all_branches``
+    or an unmeasured tag).  Errors are applied to ``state`` before the call.
 
     The program runs on the slice of the state's ``engine.support`` for
     the walkers it acts on: the other walkers are parked at b = 0 for the
@@ -366,6 +366,12 @@ def run_program(state: StateVector, program: WalkProgram, *,
     Every branch array belongs to the run: measurements collapse and
     reset in place.
     """
+    if forced is not None:
+        if all_branches:
+            raise ValueError("forced outcomes and all_branches are two policies; pass one")
+        unknown = set(forced) - {s.tag for s in program.steps if isinstance(s, MeasureCoin)}
+        if unknown:
+            raise ValueError(f"program {program.name!r} measures no tag {sorted(unknown)}")
     layout = state.layout
     keep = engine.support(state, program.walkers)
     sliced = len(keep) < len(layout.particles)

@@ -2,9 +2,11 @@
 
 The CLI reports these records and the acceptance suite asserts its pinned
 bounds on them.  Identity checks return ``{identity, deviation, tolerance,
-pass}``; the table checks return one record per commutation invariant or
-syndrome row; a sweep trial returns one CSV row; a gate word returns its
-worst Bloch deviation over a grid of encoded states.
+pass}``: a walk's deviation is the largest amplitude difference between
+its output states and the expected ones (the basis transform's, between
+its 8x8 matrix products); the table checks return one record per
+commutation invariant or syndrome row; a sweep trial returns one CSV row;
+a gate word returns its worst Bloch deviation over a grid of encoded states.
 
 Engine, program, codec and oracle functions are called through their
 modules, so a wrapper or test patch installed on a module attribute sees
@@ -138,6 +140,18 @@ def check_transform() -> dict:
 _PEX_COIN_X = pauli.PauliWord.single(pauli.PEX, "c", "X")
 
 
+def _output_deviation(program, cases) -> float:
+    """Largest |amplitude difference| between the program's output and the
+    expected state, over every amplitude of every (input, expected) pair.
+    A max takes no sum, so padding zeros and BLAS threads cannot move it;
+    a generator of ``cases`` keeps one pair alive at a time."""
+    worst = 0.0
+    for state, expected in cases:
+        out = programs.run_unitary(state, program)
+        worst = max(worst, float(np.max(np.abs(out.amps - expected.amps))))
+    return worst
+
+
 def _cnot_basis() -> list:
     """|0>_L, |1>_L and both with the external coin flipped, on
     ``CHECK_LAYOUT``."""
@@ -148,9 +162,9 @@ def _cnot_basis() -> list:
 
 
 def check_cnot(basis: list) -> dict:
-    u = oracle.extract_unitary(programs.build_cnot_coin_to_logical(), basis, basis)
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    dev = float(np.max(np.abs(u - cnot)))
+    zero, one, zero1, one1 = basis
+    dev = _output_deviation(programs.build_cnot_coin_to_logical(),
+                            zip(basis, (zero, one, one1, zero1)))
     return _identity("coin-to-logical walk = CNOT on (external coin x logical)", dev, 1e-10)
 
 
@@ -160,61 +174,47 @@ _Z3 = np.kron(np.diag([1, -1]), np.kron(np.diag([1, -1]), np.diag([1, -1])))
 _MIDDLE_BLOCK = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), _Z3]]).astype(complex)
 
 
+def _at(flats, values) -> engine.StateVector:
+    """``values`` at ``flats`` of ``CHECK_LAYOUT``, 0 elsewhere."""
+    amps = np.zeros(CHECK_LAYOUT.dim, dtype=complex)
+    amps[flats] = values
+    return engine.StateVector(CHECK_LAYOUT, amps)
+
+
 def check_middle_block() -> dict:
     flats = [engine.basis_index(CHECK_LAYOUT, {pauli.PEX: bx, 4: b4})
              for bx in (0, 4) for b4 in range(8)]  # external coin 0/1 at vertex 00
-    m = oracle.basis_matrix(programs.build_interaction_block(), CHECK_LAYOUT, flats)
-    dev = float(np.max(np.abs(m - _MIDDLE_BLOCK)))
+    cases = ((_at(flat, 1.0), _at(flats, col)) for flat, col in zip(flats, _MIDDLE_BLOCK.T))
+    dev = _output_deviation(programs.build_interaction_block(), cases)
     return _identity("middle interaction block = controlled-(Zc Zy Zx) on P4", dev, 1e-10)
 
 
-# K = -(Yc)_P2 (Yc)_P0, the sector-flipping factor of the CPhase outputs
-_K_WORD = pauli.PauliWord.from_letters({pauli.q(2, "c"): "Y", pauli.q(0, "c"): "Y"}, 2)
+# The CPhase's |-> branch on |0>_L, |1>_L and a seeded random data vector:
+# (Zc Xx Xy) on P4, the Hadamard conjugate of the logical X.  It equals
+# K g Zbar, where K = -(Yc)_P2 (Yc)_P0 flips the sector and Zbar is the
+# CPhase's diagonal.
+_H_XBAR = pauli.conjugate_transversal(pauli.LOGICAL_X, "H")
 
 
-def _cphase_matrix_deviation(cphase, basis: list) -> float:
-    """Distance of the program from diag(1, 1, 1, -1) on the (external
-    coin x logical) block, with K-transported outputs."""
-    zero, one, zero1, one1 = basis
-
-    def mix(a, b, sign):
-        return engine.StateVector(a.layout, (a.amps + sign * b.amps) / np.sqrt(2))
-
-    plus = [mix(zero, zero1, 1), mix(one, one1, 1)]
-    minus = [mix(zero, zero1, -1), mix(one, one1, -1)]
-    # The minus-branch data walkers acquire the Hadamard-conjugate of the
-    # logical X, (Zc Xx Xy) on P4 = K g Zbar: the out basis carries the
-    # sector-flipping factor K; the remaining diagonal is the CPhase.
-    k_g = pauli.pw_mul(_K_WORD, pauli.CRITERIA_G)
-    outs = plus + [engine.apply_pauli_word(m, k_g) for m in minus]
-    u = oracle.extract_unitary(cphase, plus + minus, outs)
-    return float(np.max(np.abs(u - np.diag([1, 1, 1, -1]))))
-
-
-def _cphase_operator_deviation(cphase, v: np.ndarray, sign: int) -> float:
-    """1 - fidelity of the program against the exact operator form
-    |+><+| I + |-><-| (Zc Xx Xy)_P4 on data vector ``v`` in one sector."""
-    data = engine.extend(CHECK_LAYOUT, pauli.DATA_PARTICLES, v / np.sqrt(2))
-    flipped = engine.apply_pauli_word(data, _PEX_COIN_X)
-    st = engine.StateVector(CHECK_LAYOUT, data.amps + sign * flipped.amps)
-    outw = programs.run_unitary(st, cphase)
-    if sign < 0:
-        st = engine.apply_pauli_word(st, pauli.conjugate_transversal(pauli.LOGICAL_X, "H"))
-    return 1 - engine.fidelity(outw, st)
+def _cphase_cases(data_states: list):
+    """(|+> or |-> of the external coin times a data state, the operator
+    form's output), one pair at a time."""
+    for data in data_states:
+        flipped = engine.apply_pauli_word(data, _PEX_COIN_X).amps
+        for sign in (1, -1):
+            state = engine.StateVector(data.layout, (data.amps + sign * flipped) / np.sqrt(2))
+            yield state, state if sign > 0 else engine.apply_pauli_word(state, _H_XBAR)
 
 
 def check_cphase(basis: list) -> dict:
-    # Each part runs in its own frame, so the basis mixtures are freed
-    # before the operator-form inputs are run.
-    cphase = programs.build_cphase()
     rng = np.random.default_rng(3)
     v = rng.normal(size=512) + 1j * rng.normal(size=512)
     v /= np.linalg.norm(v)
-    devs = [_cphase_matrix_deviation(cphase, basis)]
-    devs += [_cphase_operator_deviation(cphase, v, sign) for sign in (1, -1)]
+    data = [basis[0], basis[1], engine.extend(CHECK_LAYOUT, pauli.DATA_PARTICLES, v)]
+    dev = _output_deviation(programs.build_cphase(), _cphase_cases(data))
     return _identity("CPhase = |+><+| I + |-><-| (K g Zbar); diag CPhase on the "
                      "(external coin x logical) block with K-transported outputs",
-                     float(max(devs)), 1e-10)
+                     dev, 1e-10)
 
 
 def check_criteria() -> dict:

@@ -33,6 +33,15 @@ def random_state(layout, rng):
     return engine.StateVector(layout, amps)
 
 
+def fidelity(a, b):
+    """|<a|b>|^2, global-phase invariant, between states of one layout.
+    Two layouts can have the same number of amplitudes and still index
+    different walkers, so the layouts are compared, not the lengths."""
+    if a.layout != b.layout:
+        raise ValueError(f"fidelity needs one layout, got {a.layout} and {b.layout}")
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+
+
 def walker_map_reference(state, particle, u8):
     """An 8x8 map on one walker as a tensordot over the (8,) * n view,
     independent of the engine's walker-map kernel."""

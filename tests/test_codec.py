@@ -12,7 +12,7 @@ from walkqec.codec import (PauliFrame, apply_frame_physically,
 from walkqec.pauli import (CRITERIA_G, GAUGES, GX0, GZ1, LOGICAL_X,
                            LOGICAL_Z, PauliWord, pw_mul, pw_product)
 
-from conftest import all_single_qubit_paulis, syndrome_from_str
+from conftest import all_single_qubit_paulis, fidelity, syndrome_from_str
 
 FIVE, SIX = engine.FIVE, engine.SIX
 SQ2 = 1 / np.sqrt(2)
@@ -106,7 +106,7 @@ class TestEncode:
         b = zero_session_six.clone()
         encode(a, 0.8, 0.6j, forced_outcome=0)
         encode(b, 0.8, 0.6j, forced_outcome=1)
-        assert engine.fidelity(a.state, b.state) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(a.state, b.state) == pytest.approx(1.0, abs=1e-10)
 
     def test_external_walker_reparked(self, zero_session_six):
         ses = zero_session_six.clone()
@@ -127,7 +127,7 @@ class TestEncode:
         encode(ses, 0.8, 0.6j, forced_outcome=0)
         five = engine.take_slice(ses.state, range(5))
         fast = encoded_session(0.8, 0.6j)
-        assert engine.fidelity(five, fast.state) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(five, fast.state) == pytest.approx(1.0, abs=1e-12)
 
     def test_sessions_from_the_prepared_cache_do_not_alias(self):
         first = encoded_session(0.8, 0.6j)
@@ -251,7 +251,7 @@ class TestCycles:
         start = ses.state.copy()
         ses = run_cycle(ses, forced={f"s{i}": 0 for i in range(6)})
         ses.align()
-        assert engine.fidelity(ses.state, start) == pytest.approx(1.0, abs=1e-10)
+        assert fidelity(ses.state, start) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("bit", [-1, 2])
     def test_forced_outcome_outside_zero_and_one_raises(self, bit):
@@ -427,16 +427,23 @@ class TestMeasureG:
                 assert engine.expectation(s3.state, CRITERIA_G) == pytest.approx(gsign, abs=1e-10)
 
     @staticmethod
-    def _chained(ses, **policy):
+    def _chained(ses, forced=None, all_branches=False):
         """(probability, sign, outcomes) of the ZZ read, then the XX read
-        on each of its branches, as two separate program runs."""
+        on each of its branches, as two separate program runs; each run is
+        forced on its own tags only."""
         ses.align()
         e4 = ses.history.current_eigenvalue(4)
+
+        def policy(prefix):
+            if forced is None:
+                return {"all_branches": all_branches}
+            return {"forced": {t: b for t, b in forced.items() if t.startswith(prefix)}}
+
         out = []
         for b1 in programs.run_program(ses.state, programs.build_gauge_zz_measurement(),
-                                       **policy):
+                                       **policy("gzz")):
             for b2 in programs.run_program(b1.state, programs.build_gauge_xx_measurement(),
-                                           **policy):
+                                           **policy("gxx")):
                 bits = {**b1.outcomes, **b2.outcomes}
                 sign = e4 * int(np.prod([1 - 2 * b for b in bits.values()]))
                 out.append((b1.probability * b2.probability, sign, bits))
@@ -501,7 +508,7 @@ class TestLogicalGates:
         ses = encoded_session(0.8, 0.6, layout=SIX)
         start = ses.state.copy()
         apply_word(ses, "H H")
-        assert engine.fidelity(ses.state, start) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(ses.state, start) == pytest.approx(1.0, abs=1e-12)
 
     def test_t_requires_external(self):
         # displaced by a cycle and with conjugated axes, so an align or an

@@ -150,6 +150,17 @@ class TestFusedEqualsReference:
         with pytest.raises(ValueError):
             run_program(st, prog, forced={"gxx:p1": 1})
 
+    def test_forced_with_all_branches_raises(self):
+        # both policies at once used to return only the s0 = 0 branch
+        st = codec.encoded_session(0.8, 0.6j).state
+        with pytest.raises(ValueError, match="all_branches"):
+            run_program(st, build_full_cycle(0), forced={"s0": 1}, all_branches=True)
+
+    def test_forced_tag_the_program_never_measures_raises(self, rng):
+        st = codec.encoded_session(0.8, 0.6j).state
+        with pytest.raises(ValueError, match=r"measures no tag \['s9'\]"):
+            run_program(st, build_full_cycle(0), forced={"s9": 1}, rng=rng)
+
     def test_input_state_is_not_modified(self, rng):
         st = random_state(SIX, rng)
         before = st.amps.copy()

@@ -8,11 +8,11 @@ from walkqec.engine import (COIN_H, COIN_HP, COIN_I, COIN_S, COIN_T, COIN_X,
                             COIN_Z, CoinSpec, Layout, all_at_origin,
                             apply_coin, apply_neighbor, apply_particle_unitary,
                             apply_pauli_word, apply_shift, expectation,
-                            fidelity, init_state, measure_coin, project_pauli)
+                            init_state, measure_coin, project_pauli)
 from walkqec.pauli import (DATA_PARTICLES, LOGICAL_X, LOGICAL_Z, P1, P3, PEX, ROLES,
                            PauliWord, STABILIZERS, from_triples, q)
 
-from conftest import position_distribution, random_state, walker_map_reference
+from conftest import fidelity, position_distribution, random_state, walker_map_reference
 from reference import coin_view, collapse_reference, reset_reference, swap_reference
 
 FIVE, SIX = engine.FIVE, engine.SIX
@@ -52,6 +52,15 @@ class TestLayoutAndInit:
             init_state(FIVE, [(0, 0, "00"), (0, 1, "00")])
         with pytest.raises(ValueError):
             init_state(FIVE, [(0, 0, "00")])
+
+    def test_misplaced_walkers_are_named(self):
+        origin = [(p, 0, "00") for p in range(5)]
+        with pytest.raises(ValueError, match=r"missing walkers \[\], extra \[1\]"):
+            init_state(FIVE.parking((0, 2, 3, 4)), origin)
+        with pytest.raises(ValueError, match=r"missing walkers \[\], extra \[5\]"):
+            init_state(FIVE, origin + [(5, 0, "00")])
+        with pytest.raises(ValueError, match=r"missing walkers \[3, 4\], extra \[\]"):
+            init_state(FIVE, origin[:3])
 
     def test_unknown_vertex_label(self):
         with pytest.raises(ValueError, match="'22'"):
@@ -621,6 +630,14 @@ class TestFidelity:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             fidelity(random_state(FIVE, rng), random_state(SIX, rng))
+
+    def test_layout_mismatch_at_equal_length(self, rng):
+        """Both layouts have 4,096 amplitudes but index different walkers."""
+        other = FIVE.parking((0, 1, 2, 4))
+        assert other.dim == verify.CHECK_LAYOUT.dim
+        a = random_state(verify.CHECK_LAYOUT, rng)
+        with pytest.raises(ValueError, match="one layout"):
+            fidelity(a, engine.StateVector(other, a.amps.copy()))
 
 
 def test_position_distribution():

@@ -12,7 +12,7 @@ from walkqec.errors import (CoinError, PauliFlip, R_XY, ShiftError, inject, real
 from walkqec.pauli import (DATA_PARTICLES, ROLES, PauliWord, decode_lookup,
                            equivalent_mod_gauge, from_triples, q, syndrome_of)
 
-from conftest import random_state
+from conftest import fidelity, random_state
 
 FIVE = engine.FIVE
 
@@ -45,7 +45,7 @@ class TestRealize:
         moved = engine.apply_shift(inject(st, spec))
         expect = engine.init_state(FIVE, [(0, 1, "10")] +
                                    [(p, 0, "00") for p in (1, 2, 3, 4)])
-        assert engine.fidelity(moved, expect) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(moved, expect) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="vertex"):

@@ -9,7 +9,7 @@ from walkqec.codec import (apply_frame_physically, bloch_fidelity, encoded_sessi
                            inject_error, logical_readout, run_cycle, update_frame)
 from walkqec.pauli import PauliWord
 
-from conftest import all_single_qubit_paulis
+from conftest import all_single_qubit_paulis, fidelity
 
 # Two shifts, the displacement one cycle adds, on one walker.
 SHIFT2 = engine.SHIFT_MAP @ engine.SHIFT_MAP
@@ -58,7 +58,7 @@ def test_cycles_with_flips(theta, phi, flips):
         if flip is None:  # QND: nothing flips, and the state only moves by two shifts
             assert deferred.history.cycles[-1].m_str() == "000000"
             moved = engine.apply_shift(engine.apply_shift(before))
-            assert engine.fidelity(deferred.state, moved) > 1 - 1e-12
+            assert fidelity(deferred.state, moved) > 1 - 1e-12
         percycle = _cycle(percycle)
         update_frame(percycle)
         apply_frame_physically(percycle)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from walkqec import codec, engine, errors, oracle, pauli, programs
-from walkqec.engine import COIN_H, StateVector, all_at_origin, fidelity
+from walkqec.engine import COIN_H, StateVector, all_at_origin
 from walkqec.pauli import (DATA_PARTICLES, LOGICAL_X, LOGICAL_Z, PEX,
                            PauliWord, STABILIZERS, from_triples, pw_mul)
 from walkqec.programs import (Coin, MeasureCoin, Neighbor, Shift, WalkProgram,
@@ -15,7 +15,7 @@ from walkqec.programs import (Coin, MeasureCoin, Neighbor, Shift, WalkProgram,
                               build_logical_clifford, build_syndrome_step,
                               run_program, run_unitary)
 
-from conftest import position_distribution, random_state
+from conftest import fidelity, position_distribution, random_state
 from reference import interpret_program, inverted
 
 FIVE, SIX = engine.FIVE, engine.SIX

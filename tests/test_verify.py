@@ -100,10 +100,15 @@ class TestSameAsFullSix:
                               oracle.extract_unitary(program, full, full))
         assert_same_outputs(program, parked, full)
 
-    def test_cphase_matrix_check(self):
-        cphase = programs.build_cphase()
-        assert (verify._cphase_matrix_deviation(cphase, verify._cnot_basis())
-                == verify._cphase_matrix_deviation(cphase, six_basis()))
+    def test_identity_deviations(self, monkeypatch, run_inputs):
+        """Each row's deviation is the same on CHECK_LAYOUT and on SIX."""
+        parked = verify.identity_checks()
+        monkeypatch.setattr(verify, "CHECK_LAYOUT", SIX)
+        run_inputs.clear()
+        full = verify.identity_checks()
+        assert SIX in run_inputs
+        assert ([(r["identity"], r["deviation"]) for r in parked]
+                == [(r["identity"], r["deviation"]) for r in full])
 
     def test_cphase_operator_inputs(self, rng):
         v = rng.normal(size=512) + 1j * rng.normal(size=512)
@@ -131,6 +136,37 @@ class TestSameAsFullSix:
                 codec.encoded_session(alpha, beta, layout=layout), word)).bloch
                 for layout in (CHECK, SIX)]
             assert got[0] == got[1]
+
+
+# exp(-i 1e-6 X): a rotation of 1e-6 on P0's coin
+_NUDGE = programs.Coin(engine.CoinSpec.uniform(
+    (0,), np.array([[np.cos(1e-6), -1j * np.sin(1e-6)], [-1j * np.sin(1e-6), np.cos(1e-6)]])))
+
+
+def test_cphase_minus_word_is_k_g_zbar():
+    """The CPhase row's |-> word is K g Zbar, K = -(Yc)_P2 (Yc)_P0, exactly."""
+    k = pauli.PauliWord.from_letters({pauli.q(2, "c"): "Y", pauli.q(0, "c"): "Y"}, 2)
+    assert pauli.pw_mul(pauli.pw_mul(k, pauli.CRITERIA_G), pauli.LOGICAL_Z) == verify._H_XBAR
+
+
+class TestMutants:
+    @pytest.mark.parametrize("builder, row", [
+        ("build_cnot_coin_to_logical", "coin-to-logical walk = CNOT"),
+        ("build_interaction_block", "middle interaction block"),
+        ("build_cphase", "CPhase"),
+    ], ids=["cnot", "middle-block", "cphase"])
+    def test_small_coin_rotation_fails_its_row(self, builder, row, monkeypatch):
+        """An amplitude error of 1e-6 reads as 1e-6, not its square."""
+        # build every cached program first, so none caches the mutant
+        for name in ("build_cnot_coin_to_logical", "build_interaction_block", "build_cphase"):
+            getattr(programs, name)()
+        true = getattr(programs, builder)()
+        mutant = programs.WalkProgram(true.name, true.steps + (_NUDGE,))
+        monkeypatch.setattr(programs, builder, lambda: mutant)
+        records = {r["identity"]: r for r in verify.identity_checks()}
+        failed = [name for name, r in records.items() if not r["pass"]]
+        assert [name for name in failed if name.startswith(row)] == failed
+        assert len(failed) == 1 and records[failed[0]]["deviation"] > 1e-7
 
 
 class TestGateWords:
